@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use crate::tables::ResultTable;
 use crate::versions::BoxError;
-use tilefuse_codegen::{execute_compiled, execute_tree_parallel, ExecContext, ExecStats};
+use tilefuse_codegen::{execute_compiled, execute_tree, ExecContext, ExecStats};
 use tilefuse_core::{optimize, Options};
 use tilefuse_pir::Program;
 use tilefuse_scheduler::FusionHeuristic;
@@ -104,7 +104,7 @@ fn compare_one(program: &Program) -> Result<BackendRow, BoxError> {
     // Interpreter is the oracle: if it cannot run the optimized tree,
     // compare on the scheduled tree instead — and make it loud.
     let (tree, scopes, kind, fallback_reason) =
-        match execute_tree_parallel(program, &opt.tree, &[], &opt.report.scratch_scopes, 1) {
+        match execute_tree(program, &opt.tree, &[], &opt.report.scratch_scopes) {
             Ok(_) => (
                 opt.tree.clone(),
                 opt.report.scratch_scopes.clone(),
@@ -128,7 +128,7 @@ fn compare_one(program: &Program) -> Result<BackendRow, BoxError> {
         };
 
     let t0 = Instant::now();
-    let interp = execute_tree_parallel(program, &tree, &[], &scopes, 1)?;
+    let interp = execute_tree(program, &tree, &[], &scopes)?;
     let interp_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t0 = Instant::now();

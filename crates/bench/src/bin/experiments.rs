@@ -34,19 +34,10 @@
 //! records the timings in a `"backends"` section of the JSON summary.
 //! Any bit mismatch fails the run. (`--backend interp`, the default,
 //! skips the comparison.)
-//!
-//! `--exec dag` additionally executes the wavefront stencil and every
-//! PolyMage pipeline on the tile-level task-DAG work-stealing runtime —
-//! sequential vs. 1/2/4 worker threads, on both execution engines —
-//! verifies every DAG run bit-exact against the sequential interpreter,
-//! prints the measured speedups, and records them in a `"dag"` section of
-//! the JSON summary. Any bit mismatch fails the run. (`--exec seq`, the
-//! default, skips the comparison.)
 
 use std::time::Instant;
 
 use tilefuse_bench::backends::{backend_table, compare_backends, BackendRow, BACKEND_IMG};
-use tilefuse_bench::dag::{compare_dag, dag_table, DagRow};
 use tilefuse_bench::par::{effective_jobs, par_map};
 use tilefuse_bench::tables::{self, ResultTable};
 use tilefuse_bench::versions::{self, BoxError};
@@ -84,7 +75,7 @@ struct Outcome {
 fn usage() -> ! {
     eprintln!(
         "usage: experiments [ARTIFACT] [--trace FILE] [--deadline-ms N] \
-         [--max-omega-branches N] [--backend interp|vm] [--exec seq|dag]"
+         [--max-omega-branches N] [--backend interp|vm]"
     );
     eprintln!("artifacts:");
     for (name, _) in ARTIFACTS {
@@ -98,7 +89,6 @@ fn main() {
     let mut which = None;
     let mut trace_path: Option<String> = None;
     let mut backend_vm = false;
-    let mut exec_dag = false;
     let mut budget = tilefuse_trace::Budget::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -121,12 +111,6 @@ fn main() {
             match args.next().as_deref() {
                 Some("vm") => backend_vm = true,
                 Some("interp") => backend_vm = false,
-                _ => usage(),
-            }
-        } else if a == "--exec" {
-            match args.next().as_deref() {
-                Some("dag") => exec_dag = true,
-                Some("seq") => exec_dag = false,
                 _ => usage(),
             }
         } else if which.is_none() {
@@ -210,32 +194,6 @@ fn main() {
         }
     }
 
-    // Same reasoning for the DAG-runtime comparison: wall-clock rows,
-    // run after the pool drains.
-    let mut dag_rows: Vec<DagRow> = Vec::new();
-    if exec_dag {
-        match compare_dag(BACKEND_IMG) {
-            Ok(rows) => {
-                println!("{}", dag_table(&rows).to_markdown());
-                for r in &rows {
-                    if !r.bit_exact {
-                        eprintln!(
-                            "DAG MISMATCH: {} ({}, {} threads) is not bit-exact against the \
-                             sequential interpreter",
-                            r.name, r.backend, r.threads
-                        );
-                        failures += 1;
-                    }
-                }
-                dag_rows = rows;
-            }
-            Err(e) => {
-                eprintln!("DAG-runtime comparison failed: {e}");
-                failures += 1;
-            }
-        }
-    }
-
     let cache = stats::snapshot();
     eprintln!(
         "generated {} artifact(s) in {total:.3}s on {jobs} worker(s)",
@@ -262,15 +220,7 @@ fn main() {
         }
     }
 
-    let json = render_json(
-        &which,
-        jobs,
-        total,
-        &outcomes,
-        &cache,
-        &backend_rows,
-        &dag_rows,
-    );
+    let json = render_json(&which, jobs, total, &outcomes, &cache, &backend_rows);
     match std::fs::write("BENCH_experiments.json", &json) {
         Ok(()) => eprintln!("wrote BENCH_experiments.json"),
         Err(e) => eprintln!("could not write BENCH_experiments.json: {e}"),
@@ -327,7 +277,6 @@ fn render_json(
     outcomes: &[Outcome],
     cache: &stats::CacheStats,
     backend_rows: &[BackendRow],
-    dag_rows: &[DagRow],
 ) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"selection\": \"{which}\",\n"));
@@ -365,28 +314,6 @@ fn render_json(
                 r.lower_ms,
                 r.interp_ms,
                 r.vm_ms,
-                r.speedup(),
-                r.bit_exact
-            ));
-        }
-        s.push_str("    ]\n  },\n");
-    }
-    if !dag_rows.is_empty() {
-        s.push_str("  \"dag\": {\n    \"rows\": [\n");
-        for (i, r) in dag_rows.iter().enumerate() {
-            let comma = if i + 1 == dag_rows.len() { "" } else { "," };
-            s.push_str(&format!(
-                "      {{ \"name\": \"{}\", \"backend\": \"{}\", \"threads\": {}, \
-                 \"tasks\": {}, \"edges\": {}, \"build_ms\": {:.3}, \"seq_ms\": {:.3}, \
-                 \"dag_ms\": {:.3}, \"speedup\": {:.3}, \"bit_exact\": {} }}{comma}\n",
-                r.name,
-                r.backend,
-                r.threads,
-                r.tasks,
-                r.edges,
-                r.build_ms,
-                r.seq_ms,
-                r.dag_ms,
                 r.speedup(),
                 r.bit_exact
             ));

@@ -13,12 +13,9 @@
 //! * [`par`] — a bounded worker pool used to fan the experiment
 //!   configurations out over OS threads;
 //! * [`backends`] — the measured interpreter-vs-bytecode-VM comparison
-//!   behind `experiments … --backend vm`;
-//! * [`dag`] — the measured sequential-vs-task-DAG runtime comparison
-//!   behind `experiments … --exec dag`.
+//!   behind `experiments … --backend vm`.
 
 pub mod backends;
-pub mod dag;
 pub mod microbench;
 pub mod par;
 pub mod tables;

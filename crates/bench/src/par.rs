@@ -8,22 +8,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Resolves the number of worker threads to use.
-///
-/// Priority: an explicit `requested` count, then the `TILEFUSE_JOBS`
-/// environment variable, then the machine's available parallelism.
+/// Resolves the number of worker threads to use: an explicit `requested`
+/// count, else [`tilefuse_codegen::default_threads`] (`TILEFUSE_JOBS`,
+/// then the machine's available parallelism).
 pub fn effective_jobs(requested: Option<usize>) -> usize {
-    if let Some(n) = requested {
-        return n.max(1);
-    }
-    if let Ok(v) = std::env::var("TILEFUSE_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    requested.map_or_else(tilefuse_codegen::default_threads, |n| n.max(1))
 }
 
 /// Applies `f` to every item on a pool of at most `jobs` threads,

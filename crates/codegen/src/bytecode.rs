@@ -20,6 +20,7 @@
 //!
 //! [`Scanner`]: tilefuse_presburger::Scanner
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use tilefuse_pir::{ArrayId, BinOp, UnOp};
@@ -139,9 +140,9 @@ pub(crate) struct StreamGuard {
 pub(crate) struct LoopMeta {
     /// The schedule dimension (register) this loop drives.
     pub dim: usize,
-    /// Coincident at this depth and outside every scratch scope: the VM
-    /// may fan iterations out across threads (copy-on-write overlays,
-    /// merged back in ascending order — bit-identical to sequential).
+    /// Coincident at this depth and outside every scratch scope: no
+    /// dependence crosses distinct values, so `execute_compiled` may cut
+    /// the iterations into edge-free pool tasks here.
     pub parallel: bool,
     /// Instruction index of the matching [`Inst::LoopOpen`].
     pub open_ip: usize,
@@ -342,6 +343,9 @@ pub(crate) struct ScratchMeta {
 pub struct CompiledProgram {
     pub(crate) name: String,
     pub(crate) insts: Vec<Inst>,
+    /// For each [`Inst::SetDim`] ip, the ip just past its static partition:
+    /// where a run pinned to a different value of that dimension resumes.
+    pub(crate) partition_end: BTreeMap<usize, usize>,
     pub(crate) loops: Vec<LoopMeta>,
     pub(crate) fused: Vec<FusedMeta>,
     pub(crate) fibers: Vec<FiberMeta>,

@@ -1,41 +1,47 @@
-//! The tile-level task-DAG work-stealing runtime.
+//! The tile-level task-DAG work-stealing runtime — the one parallel
+//! runtime of this crate.
 //!
-//! Where [`crate::execute_tree_parallel`] can only fan out a *coincident*
-//! band dimension — and therefore serializes time-tiled stencils, whose
-//! tile dimensions all carry dependences — this runtime executes tiles as
-//! tasks of a dependence DAG ([`TileDag`], built in `tilefuse-scheduler`).
-//! A tile becomes runnable the moment its inter-tile predecessors have
-//! completed, which unlocks *wavefront* parallelism inside a serialized
-//! band and *pipeline* parallelism across fused groups.
+//! A coincident band dimension can be fanned out loop-wise, but time-tiled
+//! stencils — whose tile dimensions all carry dependences — cannot. This
+//! runtime executes tiles as tasks of a dependence DAG ([`TileDag`], built
+//! in `tilefuse-scheduler`). A tile becomes runnable the moment its
+//! inter-tile predecessors have completed, which unlocks *wavefront*
+//! parallelism inside a serialized band and *pipeline* parallelism across
+//! fused groups. A coincident loop is the degenerate case — a DAG with no
+//! edges — and [`crate::execute_compiled`] runs it on this same pool.
 //!
 //! ## Execution model
 //!
-//! Each task *lazily enumerates its own work*: one schedule-major scanner
-//! per flattened entry is built up front, and each task pins it to the
-//! task's prefix with a leading-dimension walk
+//! Static inside a task, dynamic between tasks. On the VM a task is the
+//! compiled loop nest run under the task's pinned schedule prefix
+//! (`Machine::run_under`): exactly the sequential instruction stream
+//! restricted to the tile, at the sequential VM's per-instance cost. On
+//! the interpreter — kept as the independent implementation DAG×VM is
+//! compared against — each task *enumerates its own work*: one
+//! schedule-major scanner per flattened entry is built up front, and each
+//! task pins it to the task's prefix with a leading-dimension walk
 //! ([`Scanner::for_each_under`]) and sorts its own items into
-//! lexicographic schedule order — exactly the sequential order restricted
-//! to the task. Enumeration, the dominant cost of interpreted execution,
-//! therefore parallelizes with the compute instead of being a sequential
-//! prologue, and the global sort the sequential interpreter pays is
-//! replaced by far cheaper per-task sorts.
+//! lexicographic schedule order.
 //!
 //! Tasks access *shared* buffers directly: every buffer element is an
 //! `AtomicU64` holding f64 bits, loaded and stored with `Relaxed`
-//! ordering, with a *fresh* tile-local scratch per task. This is correct
-//! and deterministic:
+//! ordering, with tile-local scratch cleared at every task start. This is
+//! correct and deterministic:
 //!
 //! * any two instances with a conflicting access to a non-scratch element
 //!   (at least one write) are related by a flow, anti or output
 //!   dependence, so their tasks are DAG-ordered and the release/acquire
 //!   chain below puts the accesses in happens-before order — coherence
 //!   then forces each relaxed load to observe the happens-before-latest
-//!   store, and the element's final value is the sequential last writer's;
+//!   store, and the element's final value is the sequential last writer's
+//!   (the edge-free tasks of a coincident loop have no conflicting
+//!   accesses at all; thread spawn and join order them against the code
+//!   around the loop);
 //! * scratch never escapes a task: every scratch scope is at least the
 //!   task prefix length, so the sequential interpreter clears scratch at
-//!   every task boundary too, and a per-task fresh scratch reproduces the
-//!   sequential scratch state — including `scratch_hits` — bit-exactly;
-//! * statistics are sums of per-task counters, which commute.
+//!   every task boundary too, and a cleared scratch per task reproduces
+//!   the sequential scratch state — including `scratch_hits` — bit-exactly;
+//! * statistics are sums of per-worker counters, which commute.
 //!
 //! ## Work stealing
 //!
@@ -76,9 +82,10 @@ use std::sync::{Mutex, PoisonError};
 
 use crate::error::{Error, Result};
 use crate::interp::{
-    default_threads, execute_instance, ExecContext, ExecStats, Scratch, SharedMem,
+    default_threads, execute_instance, from_atoms, into_atoms, ExecContext, ExecStats, Scratch,
+    SharedMem,
 };
-use crate::vm::{ExecBackend, Machine, Mem, RawStats};
+use crate::vm::{execute_compiled_dag, ExecBackend};
 use tilefuse_pir::{ArrayId, Program, StmtId};
 use tilefuse_presburger::Scanner;
 use tilefuse_schedtree::{flatten, ScheduleTree};
@@ -197,26 +204,8 @@ fn execute_tree_dag_inner(
     } else {
         n_threads
     };
-    let values = program.param_values(overrides);
-    let entries = if dag.n_tasks() == 0 {
-        // Nothing to run (the optimizer proved every tile empty): skip
-        // building per-entry scanners entirely.
-        Vec::new()
-    } else {
-        entry_work(program, tree, &values)?
-    };
     match backend {
         ExecBackend::Interp => run_interp(
-            program,
-            overrides,
-            &values,
-            scratch_scopes,
-            n_threads,
-            dag,
-            adversarial,
-            &entries,
-        ),
-        ExecBackend::Vm => run_vm(
             program,
             tree,
             overrides,
@@ -224,8 +213,11 @@ fn execute_tree_dag_inner(
             n_threads,
             dag,
             adversarial,
-            &entries,
         ),
+        ExecBackend::Vm => {
+            let compiled = crate::lower::lower_tree(program, tree, overrides, scratch_scopes)?;
+            execute_compiled_dag(program, &compiled, dag, n_threads, adversarial)
+        }
     }
 }
 
@@ -282,23 +274,31 @@ fn items_for_task(entries: &[EntryWork], prefix: &[i64]) -> Result<Vec<TaskItem>
     Ok(items)
 }
 
-/// Drives the DAG to completion, calling `run_task` once per task; the
-/// callback must have merged the task's effects into shared state before
-/// it returns (successors are released right after).
-fn run_pool(
+/// Drives the DAG to completion, calling `run_task` once per task with the
+/// calling worker's private state (built by `new_worker`, one per worker
+/// thread); the task's buffer effects must be in shared memory before the
+/// callback returns (successors are released right after). Returns the
+/// workers' states for the caller to fold.
+///
+/// The resource governor is thread-local: a checkpoint inside `run_task`
+/// fires on the single-threaded drains (which run on the caller's thread)
+/// and is inert on pool workers.
+pub(crate) fn run_pool<W: Send>(
     dag: &TileDag,
     n_threads: usize,
     adversarial: bool,
-    run_task: &(dyn Fn(usize) -> Result<()> + Sync),
-) -> Result<()> {
+    new_worker: &(dyn Fn() -> W + Sync),
+    run_task: &(dyn Fn(&mut W, usize) -> Result<()> + Sync),
+) -> Result<Vec<W>> {
     let n = dag.n_tasks();
     if n == 0 {
-        return Ok(());
+        return Ok(Vec::new());
     }
     if adversarial || n_threads <= 1 {
         // Deterministic single-threaded drain. Normal mode takes the
         // ready set in ascending (sequential) order; adversarial mode
         // descending, to maximize the observable damage of a missing edge.
+        let mut worker = new_worker();
         let mut indeg = dag.n_preds.clone();
         let mut ready: BTreeSet<usize> = (0..n).filter(|&t| indeg[t] == 0).collect();
         let mut done = 0usize;
@@ -308,7 +308,7 @@ fn run_pool(
             ready.iter().next()
         } {
             ready.remove(&t);
-            run_task(t)?;
+            run_task(&mut worker, t)?;
             done += 1;
             for &s in &dag.succs[t] {
                 indeg[s] -= 1;
@@ -320,7 +320,7 @@ fn run_pool(
         if done != n {
             return Err(Error::Exec("tile task graph is cyclic".into()));
         }
-        return Ok(());
+        return Ok(vec![worker]);
     }
 
     let workers = n_threads.min(n);
@@ -343,57 +343,76 @@ fn run_pool(
     let remaining = AtomicUsize::new(n);
     let failed = AtomicBool::new(false);
     let error: Mutex<Option<Error>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for me in 0..workers {
-            let deques = &deques;
-            let indeg = &indeg;
-            let remaining = &remaining;
-            let failed = &failed;
-            let error = &error;
-            s.spawn(move || loop {
-                if failed.load(Ordering::Acquire) || remaining.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                // Own deque first (back: LIFO), then steal (front: FIFO).
-                let mut task = deques[me]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .pop_back();
-                if task.is_none() {
-                    for j in 1..workers {
-                        task = deques[(me + j) % workers]
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .pop_front();
-                        if task.is_some() {
+    let states: Vec<W> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|me| {
+                let (deques, indeg, remaining, failed, error) =
+                    (&deques, &indeg, &remaining, &failed, &error);
+                s.spawn(move || {
+                    let mut worker = new_worker();
+                    loop {
+                        if failed.load(Ordering::Acquire) || remaining.load(Ordering::Acquire) == 0
+                        {
                             break;
                         }
-                    }
-                }
-                let Some(t) = task else {
-                    std::thread::yield_now();
-                    continue;
-                };
-                match run_task(t) {
-                    Ok(()) => {
-                        for &succ in &dag.succs[t] {
-                            if indeg[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                deques[me]
+                        // Own deque first (back: LIFO), then steal (front: FIFO).
+                        let mut task = deques[me]
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .pop_back();
+                        if task.is_none() {
+                            for j in 1..workers {
+                                task = deques[(me + j) % workers]
                                     .lock()
                                     .unwrap_or_else(PoisonError::into_inner)
-                                    .push_back(succ);
+                                    .pop_front();
+                                if task.is_some() {
+                                    break;
+                                }
                             }
                         }
-                        remaining.fetch_sub(1, Ordering::AcqRel);
+                        let Some(t) = task else {
+                            std::thread::yield_now();
+                            continue;
+                        };
+                        let outcome =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                run_task(&mut worker, t)
+                            }));
+                        match outcome {
+                            Ok(Ok(())) => {
+                                for &succ in &dag.succs[t] {
+                                    if indeg[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
+                                        deques[me]
+                                            .lock()
+                                            .unwrap_or_else(PoisonError::into_inner)
+                                            .push_back(succ);
+                                    }
+                                }
+                                remaining.fetch_sub(1, Ordering::AcqRel);
+                            }
+                            Ok(Err(e)) => {
+                                let mut slot = error.lock().unwrap_or_else(PoisonError::into_inner);
+                                slot.get_or_insert(e);
+                                failed.store(true, Ordering::Release);
+                            }
+                            // Stop the other workers (they would spin on
+                            // `remaining` forever), then let the entry
+                            // point's `catch_unwind` type the panic.
+                            Err(payload) => {
+                                failed.store(true, Ordering::Release);
+                                std::panic::resume_unwind(payload);
+                            }
+                        }
                     }
-                    Err(e) => {
-                        let mut slot = error.lock().unwrap_or_else(PoisonError::into_inner);
-                        slot.get_or_insert(e);
-                        failed.store(true, Ordering::Release);
-                    }
-                }
-            });
-        }
+                    worker
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
     if let Some(e) = error.into_inner().unwrap_or_else(PoisonError::into_inner) {
         return Err(e);
@@ -401,20 +420,26 @@ fn run_pool(
     if remaining.load(Ordering::Acquire) != 0 {
         return Err(Error::Exec("tile task graph is cyclic".into()));
     }
-    Ok(())
+    Ok(states)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_interp(
     program: &Program,
+    tree: &ScheduleTree,
     overrides: &[(&str, i64)],
-    values: &[i64],
     scratch_scopes: &BTreeMap<ArrayId, usize>,
     n_threads: usize,
     dag: &TileDag,
     adversarial: bool,
-    entries: &[EntryWork],
 ) -> Result<(ExecContext, ExecStats)> {
+    let values = &program.param_values(overrides);
+    let entries = if dag.n_tasks() == 0 {
+        // Nothing to run (the optimizer proved every tile empty): skip
+        // building per-entry scanners entirely.
+        Vec::new()
+    } else {
+        entry_work(program, tree, values)?
+    };
     let mut ctx = ExecContext::initialized(program, overrides);
     // Move every buffer into shared relaxed-atomic storage for the run
     // (`ctx` keeps the shapes for index arithmetic).
@@ -423,162 +448,55 @@ fn run_interp(
         .iter()
         .map(|a| {
             let data = std::mem::take(ctx.buffer_mut(a.id()).data_mut());
-            (
-                a.id(),
-                data.into_iter()
-                    .map(|v| AtomicU64::new(v.to_bits()))
-                    .collect(),
-            )
+            (a.id(), into_atoms(data))
         })
         .collect();
-    let stats = Mutex::new(ExecStats::default());
-    let run = |t: usize| -> Result<()> {
+    let run = |stats: &mut ExecStats, t: usize| -> Result<()> {
         tilefuse_trace::governor::checkpoint("dag/exec")
             .map_err(|e| Error::Presburger(tilefuse_presburger::Error::from(e)))?;
-        let mut local = ExecStats::default();
         let mut mem = SharedMem {
             shapes: &ctx,
             atoms: &atoms,
         };
         let mut scratch = Scratch::new(scratch_scopes.clone());
-        if let [e] = entries {
+        let mut exec = |e: &EntryWork, pt: &[i64]| {
+            let (sched, inst) = pt.split_at(e.n_sched);
+            scratch.enter(sched);
+            execute_instance(
+                program,
+                &mut mem,
+                values,
+                e.stmt,
+                inst,
+                Some(&mut scratch),
+                stats,
+                None,
+            )
+        };
+        if let [e] = &entries[..] {
             // Single flattened entry: the schedule-major walk already
             // visits instances in sequential order, so execute *during*
             // the walk — no item materialization, no per-point
             // allocation, no sort.
             let mut failed = None;
             e.scanner.for_each_under(&dag.tasks[t], &mut |pt: &[i64]| {
-                let (sched, inst) = pt.split_at(e.n_sched);
-                scratch.enter(sched);
-                match execute_instance(
-                    program,
-                    &mut mem,
-                    values,
-                    e.stmt,
-                    inst,
-                    Some(&mut scratch),
-                    &mut local,
-                    None,
-                ) {
-                    Ok(()) => true,
-                    Err(err) => {
-                        failed = Some(err);
-                        false
-                    }
-                }
+                failed = exec(e, pt).err();
+                failed.is_none()
             })?;
-            if let Some(err) = failed {
-                return Err(err);
-            }
+            failed.map_or(Ok(()), Err)
         } else {
-            let items = items_for_task(entries, &dag.tasks[t])?;
-            for (ei, pt) in &items {
-                let e = &entries[*ei];
-                let (sched, inst) = pt.split_at(e.n_sched);
-                scratch.enter(sched);
-                execute_instance(
-                    program,
-                    &mut mem,
-                    values,
-                    e.stmt,
-                    inst,
-                    Some(&mut scratch),
-                    &mut local,
-                    None,
-                )?;
-            }
+            items_for_task(&entries, &dag.tasks[t])?
+                .iter()
+                .try_for_each(|(ei, pt)| exec(&entries[*ei], pt))
         }
-        stats
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .merge(&local);
-        Ok(())
     };
-    let pool_result = run_pool(dag, n_threads, adversarial, &run);
+    let workers = run_pool(dag, n_threads, adversarial, &ExecStats::default, &run)?;
     for (arr, cells) in atoms {
-        *ctx.buffer_mut(arr).data_mut() = cells
-            .into_iter()
-            .map(|c| f64::from_bits(c.into_inner()))
-            .collect();
+        *ctx.buffer_mut(arr).data_mut() = from_atoms(cells);
     }
-    pool_result?;
-    Ok((
-        ctx,
-        stats.into_inner().unwrap_or_else(PoisonError::into_inner),
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_vm(
-    program: &Program,
-    tree: &ScheduleTree,
-    overrides: &[(&str, i64)],
-    scratch_scopes: &BTreeMap<ArrayId, usize>,
-    n_threads: usize,
-    dag: &TileDag,
-    adversarial: bool,
-    entries: &[EntryWork],
-) -> Result<(ExecContext, ExecStats)> {
-    let compiled = crate::lower::lower_tree(program, tree, overrides, scratch_scopes)?;
-    // Resolve statement ids to compiled body indices once.
-    let body_of: BTreeMap<StmtId, usize> = {
-        let mut m = BTreeMap::new();
-        for (bi, b) in compiled.bodies.iter().enumerate() {
-            let name = &compiled.stmt_names[b.stmt];
-            let stmt = program
-                .stmt_named(name)
-                .ok_or_else(|| Error::Exec(format!("unknown statement {name}")))?;
-            m.insert(stmt.id(), bi);
-        }
-        m
-    };
-
-    let mut ctx = ExecContext::initialized(program, overrides);
-    // Shared relaxed-atomic arena, one flat buffer per compiled buffer.
-    let atoms: Vec<Vec<AtomicU64>> = compiled
-        .bufs
-        .iter()
-        .map(|b| {
-            std::mem::take(ctx.buffer_mut(b.array).data_mut())
-                .into_iter()
-                .map(|v| AtomicU64::new(v.to_bits()))
-                .collect()
-        })
-        .collect();
-    let stats = Mutex::new(RawStats::new(compiled.stmt_names.len()));
-    let run = |t: usize| -> Result<()> {
-        tilefuse_trace::governor::checkpoint("dag/exec")
-            .map_err(|e| Error::Presburger(tilefuse_presburger::Error::from(e)))?;
-        let items = items_for_task(entries, &dag.tasks[t])?;
-        let vm_items = items
-            .into_iter()
-            .map(|(ei, pt)| {
-                let e = &entries[ei];
-                let body = body_of
-                    .get(&e.stmt)
-                    .copied()
-                    .ok_or_else(|| Error::Exec(format!("no compiled body for {:?}", e.stmt)))?;
-                let (sched, inst) = pt.split_at(e.n_sched);
-                Ok((sched.to_vec(), body, inst.to_vec()))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let mut machine = Machine::new(&compiled, 1);
-        let mut mem = Mem::Shared(&atoms);
-        machine.run_task(&vm_items, &mut mem)?;
-        stats
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .merge(&machine.into_raw_stats());
-        Ok(())
-    };
-    let pool_result = run_pool(dag, n_threads, adversarial, &run);
-    for (b, cells) in compiled.bufs.iter().zip(atoms) {
-        *ctx.buffer_mut(b.array).data_mut() = cells
-            .into_iter()
-            .map(|c| f64::from_bits(c.into_inner()))
-            .collect();
+    let mut stats = ExecStats::default();
+    for w in &workers {
+        stats.merge(w);
     }
-    pool_result?;
-    let stats = stats.into_inner().unwrap_or_else(PoisonError::into_inner);
-    Ok((ctx, stats.into_stats(&compiled.stmt_names)))
+    Ok((ctx, stats))
 }

@@ -20,8 +20,7 @@
 
 use crate::error::{Error, Result};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use tilefuse_pir::{ArrayId, Program, SchedTerm, StmtId};
 use tilefuse_presburger::Scanner;
@@ -194,9 +193,8 @@ impl ExecStats {
 }
 
 /// Backing memory as seen by one statement instance: the sequential
-/// interpreter writes straight through to the [`ExecContext`], while each
-/// thread of the parallel interpreter executes against an [`OverlayMem`]
-/// so concurrent chunks never alias.
+/// interpreter writes straight through to the [`ExecContext`], while the
+/// tasks of the DAG runtime share a [`SharedMem`].
 pub(crate) trait Mem {
     fn load(&self, arr: ArrayId, coords: &[i64]) -> Result<f64>;
     fn store(&mut self, arr: ArrayId, coords: &[i64], v: f64) -> Result<()>;
@@ -218,44 +216,6 @@ impl Mem for ExecContext {
     }
 }
 
-/// A copy-on-write view over a shared base context: loads fall through to
-/// the base unless this overlay wrote the element; stores land in a
-/// private log keyed by flat element index. Merging the logs of parallel
-/// chunks back into the base *in chunk order* reproduces the sequential
-/// final state exactly (the sequential last writer of any element is the
-/// highest chunk that writes it).
-pub(crate) struct OverlayMem<'a> {
-    pub(crate) base: &'a ExecContext,
-    pub(crate) writes: BTreeMap<(ArrayId, usize), f64>,
-}
-
-impl Mem for OverlayMem<'_> {
-    fn load(&self, arr: ArrayId, coords: &[i64]) -> Result<f64> {
-        let buf = self
-            .base
-            .buffers
-            .get(&arr)
-            .ok_or_else(|| Error::Exec("missing buffer".into()))?;
-        let idx = buf.index(coords)?;
-        Ok(self
-            .writes
-            .get(&(arr, idx))
-            .copied()
-            .unwrap_or(buf.data[idx]))
-    }
-
-    fn store(&mut self, arr: ArrayId, coords: &[i64], v: f64) -> Result<()> {
-        let buf = self
-            .base
-            .buffers
-            .get(&arr)
-            .ok_or_else(|| Error::Exec("missing buffer".into()))?;
-        let idx = buf.index(coords)?;
-        self.writes.insert((arr, idx), v);
-        Ok(())
-    }
-}
-
 /// Shared memory for the task-DAG runtime: every buffer element is an
 /// `AtomicU64` holding f64 bits, accessed with `Relaxed` ordering. This is
 /// sound because any two instances with a conflicting access (at least one
@@ -268,7 +228,7 @@ impl Mem for OverlayMem<'_> {
 /// live.
 pub(crate) struct SharedMem<'a> {
     pub(crate) shapes: &'a ExecContext,
-    pub(crate) atoms: &'a BTreeMap<ArrayId, Vec<std::sync::atomic::AtomicU64>>,
+    pub(crate) atoms: &'a BTreeMap<ArrayId, Vec<AtomicU64>>,
 }
 
 impl Mem for SharedMem<'_> {
@@ -280,9 +240,7 @@ impl Mem for SharedMem<'_> {
             .ok_or_else(|| Error::Exec("missing buffer".into()))?;
         let idx = buf.index(coords)?;
         let cell = &self.atoms[&arr][idx];
-        Ok(f64::from_bits(
-            cell.load(std::sync::atomic::Ordering::Relaxed),
-        ))
+        Ok(f64::from_bits(cell.load(Ordering::Relaxed)))
     }
 
     fn store(&mut self, arr: ArrayId, coords: &[i64], v: f64) -> Result<()> {
@@ -292,9 +250,24 @@ impl Mem for SharedMem<'_> {
             .get(&arr)
             .ok_or_else(|| Error::Exec("missing buffer".into()))?;
         let idx = buf.index(coords)?;
-        self.atoms[&arr][idx].store(v.to_bits(), std::sync::atomic::Ordering::Relaxed);
+        self.atoms[&arr][idx].store(v.to_bits(), Ordering::Relaxed);
         Ok(())
     }
+}
+
+/// Moves a buffer's data into shared relaxed-atomic cells (f64 bits).
+pub(crate) fn into_atoms(data: Vec<f64>) -> Vec<AtomicU64> {
+    data.into_iter()
+        .map(|v| AtomicU64::new(v.to_bits()))
+        .collect()
+}
+
+/// Moves the cells' final values back into plain buffer data.
+pub(crate) fn from_atoms(cells: Vec<AtomicU64>) -> Vec<f64> {
+    cells
+        .into_iter()
+        .map(|c| f64::from_bits(c.into_inner()))
+        .collect()
 }
 
 pub(crate) fn make_binding<'a>(
@@ -440,9 +413,10 @@ pub fn execute_tree_traced(
     Ok((ctx, stats))
 }
 
-/// Thread count used by [`execute_tree_parallel`] when the caller passes
-/// `0`: the `TILEFUSE_JOBS` environment variable if set to a positive
-/// integer, otherwise [`std::thread::available_parallelism`].
+/// Thread count used wherever a caller passes `0` (the VM and DAG entry
+/// points, the bench worker pool, the CPU model): the `TILEFUSE_JOBS`
+/// environment variable if set to a positive integer, otherwise
+/// [`std::thread::available_parallelism`].
 pub fn default_threads() -> usize {
     if let Ok(s) = std::env::var("TILEFUSE_JOBS") {
         if let Ok(n) = s.trim().parse::<usize>() {
@@ -456,104 +430,8 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// One (schedule tuple, entry order, statement, instance) execution pair.
-type WorkItem = (Vec<i64>, usize, StmtId, Vec<i64>);
-
-/// A chunk's copy-on-write write log plus its execution statistics.
-type ChunkResult = (BTreeMap<(ArrayId, usize), f64>, ExecStats);
-
-/// [`execute_tree`] fanned out across OS threads.
-///
-/// The work list is grouped by schedule-tuple prefix; at the outermost
-/// depth where every flattened entry's [`par_depths`] flag is set (a
-/// *coincident* band dimension — no dependence crosses distinct values)
-/// and every scratch scope is strictly deeper, the groups execute
-/// concurrently under `std::thread::scope`. Each chunk runs against a
-/// private [`OverlayMem`] write log and a private [`Scratch`]; logs and
-/// statistics are merged back **in ascending chunk order**, so the result
-/// — buffers *and* [`ExecStats`] — is bit-identical to [`execute_tree`]
-/// regardless of thread count or interleaving.
-///
-/// `n_threads == 0` means [`default_threads`]; `n_threads == 1` (or a
-/// schedule with no coincident dimension) degrades to the sequential path.
-///
-/// [`par_depths`]: tilefuse_schedtree::FlatEntry::par_depths
-///
-/// # Errors
-/// See [`execute_tree`]. A panic on any worker thread (index bugs, scoped
-/// thread failures) is caught at this boundary and surfaced as
-/// [`Error::Exec`] tagged with the active governor phase, so callers —
-/// including the fuzz oracle — always see a typed error, never an abort.
-pub fn execute_tree_parallel(
-    program: &Program,
-    tree: &ScheduleTree,
-    overrides: &[(&str, i64)],
-    scratch_scopes: &BTreeMap<ArrayId, usize>,
-    n_threads: usize,
-) -> Result<(ExecContext, ExecStats)> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_tree_parallel_inner(program, tree, overrides, scratch_scopes, n_threads)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(Error::Exec(format!(
-            "panic during parallel execution (phase {}): {}",
-            tilefuse_trace::governor::last_phase(),
-            tilefuse_trace::governor::panic_message(payload.as_ref()),
-        )))
-    })
-}
-
-fn execute_tree_parallel_inner(
-    program: &Program,
-    tree: &ScheduleTree,
-    overrides: &[(&str, i64)],
-    scratch_scopes: &BTreeMap<ArrayId, usize>,
-    n_threads: usize,
-) -> Result<(ExecContext, ExecStats)> {
-    let _span = tilefuse_trace::span!("interp/execute-parallel", "{}", program.name());
-    program.validate_params()?;
-    let n_threads = if n_threads == 0 {
-        default_threads()
-    } else {
-        n_threads
-    };
-    let values = program.param_values(overrides);
-    let entries = flatten(tree)?;
-    let par_ok = parallel_depths(&entries, scratch_scopes);
-    let mut work: Vec<WorkItem> = Vec::new();
-    for (order, e) in entries.iter().enumerate() {
-        let stmt = program
-            .stmt_named(&e.stmt)
-            .ok_or_else(|| Error::Exec(format!("unknown statement {}", e.stmt)))?
-            .id();
-        let n_inst = e.schedule.space().n_in();
-        let graph = e.schedule.intersect_domain(&e.domain)?;
-        let scanner = Scanner::new(graph.as_wrapped_set(), &values)?;
-        scanner.for_each(&mut |pt: &[i64]| {
-            work.push((pt[n_inst..].to_vec(), order, stmt, pt[..n_inst].to_vec()));
-            true
-        })?;
-    }
-    work.sort();
-    let mut ctx = ExecContext::initialized(program, overrides);
-    let mut stats = ExecStats::default();
-    let mut scratch = Scratch::new(scratch_scopes.clone());
-    run_level(
-        program,
-        &values,
-        &work,
-        0,
-        &par_ok,
-        n_threads,
-        &mut ctx,
-        &mut scratch,
-        &mut stats,
-    )?;
-    Ok((ctx, stats))
-}
-
-/// Parallelizable depths, shared by the parallel interpreter, the bytecode
-/// lowering, and the tile-DAG runtime: a depth `d` may be fanned out iff
+/// Parallelizable depths, as the bytecode lowering marks them for
+/// [`crate::execute_compiled`]: a depth `d` may be cut into tasks iff
 /// every entry that actually *iterates* it (`d < e.sched_len`) marks it
 /// coincident, and no scratch region's scope spans chunks at that depth.
 ///
@@ -582,132 +460,6 @@ pub(crate) fn parallel_depths(
         *ok &= d < min_scope;
     }
     par_ok
-}
-
-/// Recursive driver for [`execute_tree_parallel`]: `work` is a sorted
-/// slice sharing one schedule prefix of length `d`.
-#[allow(clippy::too_many_arguments)]
-fn run_level(
-    program: &Program,
-    values: &[i64],
-    work: &[WorkItem],
-    d: usize,
-    par_ok: &[bool],
-    n_threads: usize,
-    ctx: &mut ExecContext,
-    scratch: &mut Scratch,
-    stats: &mut ExecStats,
-) -> Result<()> {
-    if work.is_empty() {
-        return Ok(());
-    }
-    // No parallelism left at or below this depth: finish sequentially.
-    if d >= par_ok.len() || n_threads <= 1 || !par_ok[d..].iter().any(|&b| b) {
-        for (sched, _, stmt, point) in work {
-            scratch.enter(sched);
-            execute_instance(
-                program,
-                ctx,
-                values,
-                *stmt,
-                point,
-                Some(scratch),
-                stats,
-                None,
-            )?;
-        }
-        return Ok(());
-    }
-    // Split into contiguous groups by the value of schedule dim `d`.
-    let mut groups: Vec<&[WorkItem]> = Vec::new();
-    let mut start = 0;
-    for i in 1..=work.len() {
-        if i == work.len() || work[i].0[d] != work[start].0[d] {
-            groups.push(&work[start..i]);
-            start = i;
-        }
-    }
-    if !par_ok[d] || groups.len() < 2 {
-        for g in groups {
-            run_level(
-                program,
-                values,
-                g,
-                d + 1,
-                par_ok,
-                n_threads,
-                ctx,
-                scratch,
-                stats,
-            )?;
-        }
-        return Ok(());
-    }
-    // Parallel section. Chunks are claimed by index from a shared counter;
-    // results are stored by chunk index so the merge below is ordered no
-    // matter which thread ran what. Every scratch scope is > d here, so a
-    // fresh per-chunk Scratch sees exactly what the shared one would (the
-    // chunk boundary changes the tile prefix, which clears scratch).
-    let results: Vec<Mutex<Option<Result<ChunkResult>>>> =
-        (0..groups.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let base: &ExecContext = ctx;
-    std::thread::scope(|s| {
-        for _ in 0..n_threads.min(groups.len()) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(group) = groups.get(i) else { break };
-                let r = run_chunk(program, values, base, &scratch.scopes, group);
-                *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-            });
-        }
-    });
-    for cell in results {
-        let r = cell
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .expect("every chunk index was claimed by a worker");
-        let (writes, chunk_stats) = r?;
-        for ((arr, idx), v) in writes {
-            let buf = ctx
-                .buffers
-                .get_mut(&arr)
-                .ok_or_else(|| Error::Exec("missing buffer".into()))?;
-            buf.data[idx] = v;
-        }
-        stats.merge(&chunk_stats);
-    }
-    Ok(())
-}
-
-/// Executes one parallel chunk sequentially against a private overlay.
-fn run_chunk(
-    program: &Program,
-    values: &[i64],
-    base: &ExecContext,
-    scopes: &BTreeMap<ArrayId, usize>,
-    work: &[WorkItem],
-) -> Result<ChunkResult> {
-    let mut mem = OverlayMem {
-        base,
-        writes: BTreeMap::new(),
-    };
-    let mut scratch = Scratch::new(scopes.clone());
-    let mut stats = ExecStats::default();
-    for (sched, _, stmt, point) in work {
-        scratch.enter(sched);
-        execute_instance(
-            program,
-            &mut mem,
-            values,
-            *stmt,
-            point,
-            Some(&mut scratch),
-            &mut stats,
-            None,
-        )?;
-    }
-    Ok((mem.writes, stats))
 }
 
 /// Tile-private storage for fused arrays (see module docs).
@@ -982,12 +734,29 @@ mod tests {
             vec![false, true, true]
         );
         let (seq_ctx, seq_stats) = execute_tree(&p, &tree, &[], &BTreeMap::new()).unwrap();
-        let (par_ctx, par_stats) =
-            execute_tree_parallel(&p, &tree, &[], &BTreeMap::new(), 4).unwrap();
-        assert_eq!(seq_stats, par_stats);
-        for arr in [a, b] {
-            assert_eq!(seq_ctx.buffer(arr).data(), par_ctx.buffer(arr).data());
+        for (par_ctx, par_stats) in parallel_runs(&p, &tree, 4) {
+            assert_eq!(seq_stats, par_stats);
+            for arr in [a, b] {
+                assert_eq!(seq_ctx.buffer(arr).data(), par_ctx.buffer(arr).data());
+            }
         }
+    }
+
+    /// The two parallel executions of a scratch-free tree: its tile DAG on
+    /// the interpreter, and the compiled program with its coincident loops
+    /// cut into pool tasks.
+    fn parallel_runs(
+        p: &Program,
+        tree: &ScheduleTree,
+        threads: usize,
+    ) -> [(ExecContext, ExecStats); 2] {
+        let none = BTreeMap::new();
+        let compiled = crate::lower_tree(p, tree, &[], &none).unwrap();
+        [
+            crate::execute_tree_dag(p, tree, &[], &none, threads, crate::ExecBackend::Interp)
+                .unwrap(),
+            crate::execute_compiled(p, &compiled, threads).unwrap(),
+        ]
     }
 
     #[test]
@@ -1064,21 +833,20 @@ mod tests {
             let (seq, seq_stats) =
                 execute_tree(&p, &scheduled.tree, &[], &Default::default()).unwrap();
             for threads in [1, 2, 3, 8] {
-                let (par, par_stats) =
-                    execute_tree_parallel(&p, &scheduled.tree, &[], &Default::default(), threads)
-                        .unwrap();
-                for a in p.arrays() {
+                for (par, par_stats) in parallel_runs(&p, &scheduled.tree, threads) {
+                    for a in p.arrays() {
+                        assert_eq!(
+                            seq.max_diff(&par, a.id()).unwrap(),
+                            0.0,
+                            "array {} differs ({h:?}, {threads} threads)",
+                            a.name()
+                        );
+                    }
                     assert_eq!(
-                        seq.max_diff(&par, a.id()).unwrap(),
-                        0.0,
-                        "array {} differs ({h:?}, {threads} threads)",
-                        a.name()
+                        seq_stats, par_stats,
+                        "stats differ ({h:?}, {threads} threads)"
                     );
                 }
-                assert_eq!(
-                    seq_stats, par_stats,
-                    "stats differ ({h:?}, {threads} threads)"
-                );
             }
         }
     }

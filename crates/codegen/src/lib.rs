@@ -1,6 +1,6 @@
 //! Code generation and executable semantics for schedule trees.
 //!
-//! Two consumers of a transformed schedule tree live here:
+//! Three consumers of a transformed schedule tree live here:
 //!
 //! * the **interpreter** ([`execute_tree`], [`reference_execute`]) runs
 //!   statement instances against real buffers in the order the tree
@@ -13,8 +13,13 @@
 //! * the **bytecode VM** ([`lower_tree`], [`execute_compiled`]) lowers the
 //!   tree once to a register-based instruction stream and executes it
 //!   bit-identically to the interpreter — same buffers, same statistics —
-//!   but without per-instance set enumeration. [`execute_tree_backend`]
-//!   selects between the two engines via [`ExecBackend`].
+//!   but without per-instance set enumeration.
+//!
+//! Both engines are sequential. Parallel execution is one runtime on top
+//! of them: [`execute_tree_dag`] runs tiles as tasks of the inter-tile
+//! dependence DAG on a work-stealing pool, on the engine [`ExecBackend`]
+//! selects, and [`execute_compiled`] with more than one thread runs a
+//! coincident loop's iterations as edge-free tasks of the same pool.
 
 mod ast;
 mod bytecode;
@@ -30,9 +35,9 @@ pub use bytecode::{disasm, CompiledProgram};
 pub use dag::{execute_tree_dag, execute_tree_dag_with};
 pub use error::{Error, Result};
 pub use interp::{
-    check_outputs_match, default_threads, execute_tree, execute_tree_parallel, execute_tree_traced,
-    reference_execute, Access, Buffer, ExecContext, ExecStats,
+    check_outputs_match, default_threads, execute_tree, execute_tree_traced, reference_execute,
+    Access, Buffer, ExecContext, ExecStats,
 };
 pub use lower::lower_tree;
 pub use printer::{print, print_cuda_kernel, Target};
-pub use vm::{execute_compiled, execute_tree_backend, ExecBackend};
+pub use vm::{execute_compiled, ExecBackend};

@@ -30,10 +30,10 @@
 //!    emitted between static partitions) at depth `d` for each scratch
 //!    buffer of scope `> d`: exactly the set the interpreter clears when
 //!    consecutive schedule tuples first differ at `d`.
-//! 4. **Parallelism** — a loop is marked parallel iff the interpreter's
-//!    `par_ok` predicate holds at its depth (all entries coincident, all
-//!    scratch scopes deeper); such dimensions are never turned into static
-//!    partitions so the VM can fan them out.
+//! 4. **Parallelism** — a loop is marked parallel iff `parallel_depths`
+//!    holds at its depth (all entries coincident, all scratch scopes
+//!    deeper); such dimensions are never turned into static partitions, so
+//!    `execute_compiled` can cut their iterations into pool tasks.
 //!
 //! [`Scanner`]: tilefuse_presburger::Scanner
 //! [`BasicSet`]: tilefuse_presburger::BasicSet
@@ -222,6 +222,7 @@ struct Emitter<'a> {
     /// Scratch indices by scope, for clear sets.
     scratch_scopes: Vec<usize>,
     insts: Vec<Inst>,
+    partition_end: BTreeMap<usize, usize>,
     loops: Vec<LoopMeta>,
     fused: Vec<FusedMeta>,
     fibers: Vec<FiberMeta>,
@@ -349,7 +350,7 @@ impl Emitter<'_> {
         }
         let parallel = self.par_ok.get(d).copied().unwrap_or(false);
         // Static partitions would serialize a parallel dimension, so only
-        // consider them where the interpreter could not fan out either.
+        // consider them where no tasks can be cut.
         if !parallel {
             if let Some(groups) = self.try_static(streams, d) {
                 let clears = self.clears_at(d);
@@ -357,11 +358,13 @@ impl Emitter<'_> {
                     if gi > 0 && !clears.is_empty() {
                         self.insts.push(Inst::Clear(clears.clone()));
                     }
+                    let set_ip = self.insts.len();
                     self.insts.push(Inst::SetDim {
                         dim: d,
                         value: *value,
                     });
                     self.emit(group, d + 1);
+                    self.partition_end.insert(set_ip, self.insts.len());
                 }
                 return;
             }
@@ -556,9 +559,8 @@ pub fn lower_tree(
         .max()
         .unwrap_or(0);
 
-    // Parallelizable depths: the same predicate the parallel interpreter
-    // uses (every entry iterating the depth coincident, every scratch scope
-    // strictly deeper; see `interp::parallel_depths`).
+    // Parallelizable depths: every entry iterating the depth coincident,
+    // every scratch scope strictly deeper (see `interp::parallel_depths`).
     let par_ok = crate::interp::parallel_depths(&entries, scratch_scopes);
 
     // Buffers, in array-id order.
@@ -714,6 +716,7 @@ pub fn lower_tree(
         entry_body: &entry_body,
         scratch_scopes: scratch.iter().map(|s| s.scope).collect(),
         insts: Vec::new(),
+        partition_end: BTreeMap::new(),
         loops: Vec::new(),
         fused: Vec::new(),
         fibers: Vec::new(),
@@ -725,6 +728,7 @@ pub fn lower_tree(
     Ok(CompiledProgram {
         name: program.name().to_owned(),
         insts: em.insts,
+        partition_end: em.partition_end,
         loops: em.loops,
         fused: em.fused,
         fibers: em.fibers,

@@ -10,35 +10,29 @@
 //! stores, scratch hits) are counted at exactly the interpreter's points,
 //! so [`ExecStats`] match bit-for-bit.
 //!
-//! Parallel execution mirrors [`crate::execute_tree_parallel`]: at the
-//! outermost loop marked parallel the iterations fan out across OS
-//! threads, each against a copy-on-write overlay and a private scratch;
-//! write logs and statistics merge back in ascending iteration order, so
-//! the result is independent of thread count and interleaving.
+//! The one unit of parallel work is [`Machine::run_under`]: the compiled
+//! program run under a pinned schedule prefix, on shared relaxed-atomic
+//! buffers, as a task of the pool in [`crate::dag`]. A tile-DAG task is
+//! `run_under(task prefix)`; a coincident loop met by
+//! [`execute_compiled`] with more than one thread is the same thing with
+//! no edges — one task per iteration value ([`Machine::fan_out`]).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::bytecode::{BodyOp, CAccess, CLevel, CompiledProgram, FiberMeta, Inst};
 use crate::error::{Error, Result};
-use crate::interp::{default_threads, execute_tree_parallel, ExecContext, ExecStats};
-use tilefuse_pir::{ArrayId, BinOp, Program, UnOp};
-use tilefuse_schedtree::ScheduleTree;
+use crate::interp::{default_threads, from_atoms, into_atoms, ExecContext, ExecStats};
+use tilefuse_pir::{BinOp, Program, UnOp};
+use tilefuse_scheduler::TileDag;
 
-/// Backing memory for a VM run: the top-level machine writes straight
-/// through; each parallel worker logs into a copy-on-write overlay keyed
-/// by `(buffer, flat index)`, merged back in chunk order; each tile task
-/// of the DAG runtime accesses shared relaxed-atomic buffers (sound
-/// because conflicting accesses are DAG-ordered — see `crate::dag` and
-/// `crate::interp::SharedMem`).
+/// Backing memory for a VM run: a sequential run writes straight through;
+/// pool tasks access shared relaxed-atomic buffers (sound because
+/// conflicting accesses are ordered by the pool's release/acquire chain —
+/// see `crate::dag` and `crate::interp::SharedMem`).
 pub(crate) enum Mem<'a> {
     Direct(&'a mut Vec<Vec<f64>>),
-    Overlay {
-        base: &'a [Vec<f64>],
-        writes: BTreeMap<(usize, usize), f64>,
-    },
-    Shared(&'a [Vec<std::sync::atomic::AtomicU64>]),
+    Shared(&'a [Vec<AtomicU64>]),
 }
 
 impl Mem<'_> {
@@ -46,10 +40,6 @@ impl Mem<'_> {
     fn load(&self, buf: usize, idx: usize) -> f64 {
         match self {
             Mem::Direct(d) => d[buf][idx],
-            Mem::Overlay { base, writes } => writes
-                .get(&(buf, idx))
-                .copied()
-                .unwrap_or_else(|| base[buf][idx]),
             Mem::Shared(a) => f64::from_bits(a[buf][idx].load(Ordering::Relaxed)),
         }
     }
@@ -58,9 +48,6 @@ impl Mem<'_> {
     fn store(&mut self, buf: usize, idx: usize, v: f64) {
         match self {
             Mem::Direct(d) => d[buf][idx] = v,
-            Mem::Overlay { writes, .. } => {
-                writes.insert((buf, idx), v);
-            }
             Mem::Shared(a) => a[buf][idx].store(v.to_bits(), Ordering::Relaxed),
         }
     }
@@ -177,16 +164,6 @@ struct LoopState {
     entered: Vec<bool>,
 }
 
-/// What a parallel section executes per claimed iteration value.
-enum ParJob<'a> {
-    Loop {
-        l: usize,
-        ranges: &'a [(i64, i64)],
-        entered: &'a [bool],
-    },
-    Fused(usize),
-}
-
 pub(crate) struct Machine<'p> {
     prog: &'p CompiledProgram,
     /// Shared integer register file: schedule dims `0..n_sched`, then the
@@ -260,12 +237,11 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    /// Evaluates the loop's guards and either enters the first populated
-    /// iteration, dispatches the whole range in parallel, or skips the
-    /// loop. Returns the next instruction pointer.
-    fn loop_open(&mut self, l: usize, mem: &mut Mem) -> Result<usize> {
-        let prog = self.prog;
-        let meta = &prog.loops[l];
+    /// Evaluates the loop's guards under the current outer dims: which
+    /// streams were active, each one's `[lo, hi]`, and the union range
+    /// `[cur, hi]` (empty when no stream contributes).
+    fn loop_guards(&self, l: usize) -> Result<LoopState> {
+        let meta = &self.prog.loops[l];
         let n_guards = meta.guards.len();
         let mut ranges = vec![(1i64, 0i64); n_guards];
         let mut entered = vec![false; n_guards];
@@ -288,34 +264,51 @@ impl<'p> Machine<'p> {
                 hi = hi.max(hs);
             }
         }
-        if lo > hi {
-            return Ok(meta.close_ip + 1);
-        }
-        if meta.parallel && self.n_threads > 1 && hi > lo {
-            let job = ParJob::Loop {
-                l,
-                ranges: &ranges,
-                entered: &entered,
-            };
-            self.run_parallel(&job, lo, hi, mem)?;
-            // The merged state is what sequential execution would leave
-            // after the last iteration; the next instance's prefix differs
-            // at most at this depth, so clear everything scoped deeper.
-            for &s in &prog.loops[l].clears {
-                self.scratch[s].clear();
-            }
-            return Ok(prog.loops[l].close_ip + 1);
-        }
-        self.dims[meta.dim] = lo;
-        for (gi, g) in meta.guards.iter().enumerate() {
-            self.active[g.stream] = entered[gi] && lo >= ranges[gi].0 && lo <= ranges[gi].1;
-        }
-        self.lstate[l] = LoopState {
+        Ok(LoopState {
             cur: lo,
             hi,
             ranges,
             entered,
-        };
+        })
+    }
+
+    /// Enters the loop at `state.cur`: sets the dim register and each
+    /// guarded stream's activity. Returns whether any stream is live.
+    fn loop_enter(&mut self, l: usize, state: LoopState) -> bool {
+        let meta = &self.prog.loops[l];
+        let v = state.cur;
+        self.dims[meta.dim] = v;
+        let mut any = false;
+        for (gi, g) in meta.guards.iter().enumerate() {
+            let a = state.entered[gi] && v >= state.ranges[gi].0 && v <= state.ranges[gi].1;
+            self.active[g.stream] = a;
+            any |= a;
+        }
+        self.lstate[l] = state;
+        any
+    }
+
+    /// Evaluates the loop's guards and either enters the first populated
+    /// iteration, cuts the whole range into pool tasks, or skips the loop.
+    /// Returns the next instruction pointer.
+    fn loop_open(&mut self, l: usize, mem: &mut Mem) -> Result<usize> {
+        let meta = &self.prog.loops[l];
+        let state = self.loop_guards(l)?;
+        let (lo, hi) = (state.cur, state.hi);
+        if lo > hi {
+            return Ok(meta.close_ip + 1);
+        }
+        if meta.parallel && self.n_threads > 1 && hi > lo {
+            self.fan_out(meta.dim, lo, hi, mem)?;
+            // The tasks leave what sequential execution would leave after
+            // the last iteration; the next instance's prefix differs at
+            // most at this depth, so clear everything scoped deeper.
+            for &s in &meta.clears {
+                self.scratch[s].clear();
+            }
+            return Ok(meta.close_ip + 1);
+        }
+        self.loop_enter(l, state);
         Ok(meta.open_ip + 1)
     }
 
@@ -352,14 +345,12 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Executes a specialized fused inner loop.
-    fn fused(&mut self, fi: usize, mem: &mut Mem) -> Result<()> {
-        let prog = self.prog;
-        let meta = &prog.fused[fi];
-        let fiber = &prog.fibers[meta.fiber];
-        let s = fiber.streams[0];
-        if !self.active[s] {
-            return Ok(());
+    /// The fused loop's `[lo, hi]` under the current dims, with its pins
+    /// applied; `None` when its stream is inactive or the range is empty.
+    fn fused_range(&mut self, fi: usize) -> Result<Option<(i64, i64)>> {
+        let meta = &self.prog.fused[fi];
+        if !self.active[self.prog.fibers[meta.fiber].streams[0]] {
+            return Ok(None);
         }
         let (Some(lo), Some(hi)) = (meta.level.lo(&self.dims), meta.level.hi(&self.dims)) else {
             return Err(Error::Exec(format!(
@@ -368,114 +359,128 @@ impl<'p> Machine<'p> {
             )));
         };
         if lo > hi {
-            return Ok(());
+            return Ok(None);
         }
         for &(d, v) in &meta.pins {
             self.dims[d] = v;
         }
+        Ok(Some((lo, hi)))
+    }
+
+    /// Executes a specialized fused inner loop.
+    fn fused(&mut self, fi: usize, mem: &mut Mem) -> Result<()> {
+        let prog = self.prog;
+        let meta = &prog.fused[fi];
+        let Some((lo, hi)) = self.fused_range(fi)? else {
+            return Ok(());
+        };
         if meta.parallel && self.n_threads > 1 && hi > lo {
-            return self.run_parallel(&ParJob::Fused(fi), lo, hi, mem);
+            return self.fan_out(meta.dim, lo, hi, mem);
         }
+        let fiber = &prog.fibers[meta.fiber];
         for v in lo..=hi {
             self.dims[meta.dim] = v;
-            self.walk_exec(s, 0, fiber, mem)?;
+            self.walk_exec(fiber.streams[0], 0, fiber, mem)?;
         }
         Ok(())
     }
 
-    /// Executes one claimed iteration of a parallel section on a worker.
-    fn run_chunk(&mut self, job: &ParJob, v: i64, mem: &mut Mem) -> Result<()> {
+    /// Runs the compiled program restricted to the schedule tuples that
+    /// start with `prefix` — the one unit of parallel work on the VM.
+    /// Loops, fused loops and static partitions at depths `< prefix.len()`
+    /// are pinned to the prefix value (a partition or pin that disagrees
+    /// is skipped); everything deeper runs through [`Machine::run`]
+    /// unchanged, so the instances execute in exactly the sequential order
+    /// restricted to the prefix.
+    ///
+    /// Scratch starts cleared: every scratch scope is at least the prefix
+    /// length (tile-DAG prefix invariant; `parallel_depths` for
+    /// [`Machine::fan_out`]), so the sequential run clears all scratch at
+    /// every boundary between two prefixes too, and `scratch_hits` match.
+    pub(crate) fn run_under(&mut self, prefix: &[i64], mem: &mut Mem) -> Result<()> {
         let prog = self.prog;
-        match *job {
-            ParJob::Loop { l, ranges, entered } => {
-                let meta = &prog.loops[l];
-                self.dims[meta.dim] = v;
-                let mut any = false;
-                for (gi, g) in meta.guards.iter().enumerate() {
-                    let a = entered[gi] && v >= ranges[gi].0 && v <= ranges[gi].1;
-                    self.active[g.stream] = a;
-                    any |= a;
-                }
-                if !any {
-                    return Ok(());
-                }
-                self.run(mem, meta.open_ip + 1, meta.close_ip)
-            }
-            ParJob::Fused(fi) => {
-                let meta = &prog.fused[fi];
-                self.dims[meta.dim] = v;
-                self.walk_exec(
-                    prog.fibers[meta.fiber].streams[0],
-                    0,
-                    &prog.fibers[meta.fiber],
-                    mem,
-                )
-            }
+        self.active.fill(true);
+        for s in &mut self.scratch {
+            s.clear();
         }
+        let mut ip = 0;
+        while ip < prog.insts.len() {
+            ip = match prog.insts[ip] {
+                Inst::SetDim { dim, value } if dim < prefix.len() => {
+                    if value == prefix[dim] {
+                        self.dims[dim] = value;
+                        ip + 1
+                    } else {
+                        prog.partition_end[&ip]
+                    }
+                }
+                Inst::LoopOpen(l) if prog.loops[l].dim < prefix.len() => {
+                    let mut state = self.loop_guards(l)?;
+                    let v = prefix[prog.loops[l].dim];
+                    // A one-iteration loop at the pinned value.
+                    let inside = state.cur <= v && v <= state.hi;
+                    state.cur = v;
+                    state.hi = v;
+                    if inside && self.loop_enter(l, state) {
+                        ip + 1
+                    } else {
+                        prog.loops[l].close_ip + 1
+                    }
+                }
+                Inst::Fused(fi) if prog.fused[fi].dim < prefix.len() => {
+                    let meta = &prog.fused[fi];
+                    let v = prefix[meta.dim];
+                    let pins_agree = meta
+                        .pins
+                        .iter()
+                        .all(|&(d, pv)| d >= prefix.len() || prefix[d] == pv);
+                    if pins_agree {
+                        if let Some((lo, hi)) = self.fused_range(fi)? {
+                            if lo <= v && v <= hi {
+                                let fiber = &prog.fibers[meta.fiber];
+                                self.dims[meta.dim] = v;
+                                self.walk_exec(fiber.streams[0], 0, fiber, mem)?;
+                            }
+                        }
+                    }
+                    ip + 1
+                }
+                // Below the prefix: a whole loop, or one instruction (the
+                // close of a pinned loop falls through, since `hi == cur`).
+                Inst::LoopOpen(l) => {
+                    let end = prog.loops[l].close_ip + 1;
+                    self.run(mem, ip, end)?;
+                    end
+                }
+                _ => {
+                    self.run(mem, ip, ip + 1)?;
+                    ip + 1
+                }
+            };
+        }
+        Ok(())
     }
 
-    /// Fans the iterations `lo..=hi` out across threads, mirroring the
-    /// parallel interpreter: claims by atomic counter, copy-on-write
-    /// overlays, private scratch, ascending merge.
-    fn run_parallel(&mut self, job: &ParJob, lo: i64, hi: i64, mem: &mut Mem) -> Result<()> {
-        let Mem::Direct(data) = mem else {
-            // Workers run with n_threads == 1, so a nested parallel
-            // section can only be reached from the top-level machine.
-            return Err(Error::Exec("nested parallel VM section".into()));
+    /// Runs iterations `lo..=hi` of the parallel dimension `dim` as an
+    /// edge-free task set on the pool — a coincident band is a tile DAG
+    /// with no edges — one [`Machine::run_under`] task per value.
+    fn fan_out(&mut self, dim: usize, lo: i64, hi: i64, mem: &mut Mem) -> Result<()> {
+        let tasks: Vec<Vec<i64>> = (lo..=hi)
+            .map(|v| {
+                let mut prefix = self.dims[..dim].to_vec();
+                prefix.push(v);
+                prefix
+            })
+            .collect();
+        let dag = TileDag {
+            prefix_len: dim + 1,
+            succs: vec![Vec::new(); tasks.len()],
+            n_preds: vec![0; tasks.len()],
+            tasks,
+            deps: Vec::new(),
         };
-        let n = (hi - lo + 1) as usize;
-        let threads = self.n_threads.min(n);
-        type ChunkOut = (BTreeMap<(usize, usize), f64>, RawStats);
-        let results: Vec<Mutex<Option<Result<ChunkOut>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let base: &[Vec<f64>] = data;
-        let this: &Machine = self;
-        std::thread::scope(|sc| {
-            for _ in 0..threads {
-                sc.spawn(|| {
-                    let mut m = Machine::new(this.prog, 1);
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= n {
-                            break;
-                        }
-                        let _ = tilefuse_trace::governor::checkpoint("codegen/vm-exec");
-                        let v = lo + k as i64;
-                        m.dims.copy_from_slice(&this.dims);
-                        m.active.copy_from_slice(&this.active);
-                        for sc_state in &mut m.scratch {
-                            sc_state.clear();
-                        }
-                        m.stats = RawStats::new(this.prog.stmt_names.len());
-                        let mut cmem = Mem::Overlay {
-                            base,
-                            writes: BTreeMap::new(),
-                        };
-                        let r = m.run_chunk(job, v, &mut cmem);
-                        let writes = match cmem {
-                            Mem::Overlay { writes, .. } => writes,
-                            Mem::Direct(_) | Mem::Shared(_) => {
-                                unreachable!("worker memory is an overlay")
-                            }
-                        };
-                        let out = r.map(|()| (writes, m.stats.clone()));
-                        *results[k].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-                    }
-                });
-            }
-        });
-        for cell in results {
-            let r = cell
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every chunk index was claimed by a worker");
-            let (writes, chunk_stats) = r?;
-            for ((buf, idx), v) in writes {
-                data[buf][idx] = v;
-            }
-            self.stats.merge(&chunk_stats);
-        }
+        let stats = run_on_pool(self.prog, &dag, self.n_threads, false, mem)?;
+        self.stats.merge(&stats);
         Ok(())
     }
 
@@ -622,41 +627,6 @@ impl<'p> Machine<'p> {
         (Some(idx as usize), coords)
     }
 
-    /// Executes one tile task's work items — `(schedule tuple, body index,
-    /// instance)` triples in lexicographic schedule order — for the DAG
-    /// runtime. Scratch is cleared whenever a schedule prefix of an
-    /// array's scope length changes, exactly mirroring the interpreter's
-    /// `Scratch::enter`; since every scope is at least the task prefix
-    /// length, a fresh machine per task starts from the same (cleared)
-    /// scratch state the sequential run has at the task boundary.
-    pub(crate) fn run_task(
-        &mut self,
-        items: &[(Vec<i64>, usize, Vec<i64>)],
-        mem: &mut Mem,
-    ) -> Result<()> {
-        let n_sched = self.prog.n_sched;
-        let mut last: Vec<Option<Vec<i64>>> = vec![None; self.prog.scratch.len()];
-        for (sched, body, inst) in items {
-            for (si, smeta) in self.prog.scratch.iter().enumerate() {
-                let p = &sched[..smeta.scope.min(sched.len())];
-                if last[si].as_deref() != Some(p) {
-                    self.scratch[si].clear();
-                    last[si] = Some(p.to_vec());
-                }
-            }
-            self.dims[..sched.len()].copy_from_slice(sched);
-            self.dims[n_sched..n_sched + inst.len()].copy_from_slice(inst);
-            self.exec_body(*body, mem)?;
-        }
-        Ok(())
-    }
-
-    /// Consumes the machine, yielding its raw counters (DAG runtime: one
-    /// machine per task, counters merged across tasks).
-    pub(crate) fn into_raw_stats(self) -> RawStats {
-        self.stats
-    }
-
     /// Executes one statement instance: counters, loads (scratch first),
     /// register ops, then the store — in exactly the interpreter's order,
     /// including the continue-on-load-error-then-fail behavior.
@@ -762,15 +732,85 @@ fn oob_error(coords: &[i64], shape: &[i64]) -> Error {
     }
 }
 
+/// Runs every task of `dag` as [`Machine::run_under`] on the pool, one
+/// machine per worker (scratch is reset by epoch bump between tasks, not
+/// reallocated), and returns the summed counters. `mem` must be the
+/// shared arena.
+pub(crate) fn run_on_pool(
+    prog: &CompiledProgram,
+    dag: &TileDag,
+    n_threads: usize,
+    adversarial: bool,
+    mem: &Mem,
+) -> Result<RawStats> {
+    let Mem::Shared(atoms) = *mem else {
+        return Err(Error::Exec("VM pool tasks need the shared arena".into()));
+    };
+    let machines = crate::dag::run_pool(
+        dag,
+        n_threads,
+        adversarial,
+        &|| Machine::new(prog, 1),
+        &|m: &mut Machine, t: usize| {
+            tilefuse_trace::governor::checkpoint("dag/exec")
+                .map_err(|e| Error::Presburger(tilefuse_presburger::Error::from(e)))?;
+            m.run_under(&dag.tasks[t], &mut Mem::Shared(atoms))
+        },
+    )?;
+    let mut stats = RawStats::new(prog.stmt_names.len());
+    for m in &machines {
+        stats.merge(&m.stats);
+    }
+    Ok(stats)
+}
+
+/// Initializes buffers exactly as [`ExecContext::initialized`] does for
+/// the interpreter, moves them into the VM's flat arena (relaxed atomics
+/// when `shared`), runs `f`, and moves them back (shapes agree: both
+/// sides derive them from the same binding).
+fn run_in_arena(
+    program: &Program,
+    compiled: &CompiledProgram,
+    shared: bool,
+    f: impl FnOnce(&mut Mem) -> Result<RawStats>,
+) -> Result<(ExecContext, ExecStats)> {
+    let overrides: Vec<(&str, i64)> = compiled
+        .param_names
+        .iter()
+        .map(String::as_str)
+        .zip(compiled.param_values.iter().copied())
+        .collect();
+    let mut ctx = ExecContext::initialized(program, &overrides);
+    let mut data: Vec<Vec<f64>> = compiled
+        .bufs
+        .iter()
+        .map(|b| std::mem::take(ctx.buffer_mut(b.array).data_mut()))
+        .collect();
+    let stats = if shared {
+        let atoms: Vec<Vec<AtomicU64>> = data.into_iter().map(into_atoms).collect();
+        let stats = f(&mut Mem::Shared(&atoms))?;
+        data = atoms.into_iter().map(from_atoms).collect();
+        stats
+    } else {
+        f(&mut Mem::Direct(&mut data))?
+    };
+    for (b, d) in compiled.bufs.iter().zip(data) {
+        *ctx.buffer_mut(b.array).data_mut() = d;
+    }
+    Ok((ctx, stats.into_stats(&compiled.stmt_names)))
+}
+
 /// Executes a compiled program.
 ///
 /// Buffers are initialized exactly as [`ExecContext::initialized`] does
 /// for the interpreter (same deterministic pseudo-inputs), executed on the
 /// VM, and returned as an ordinary [`ExecContext`]. `n_threads == 0` means
-/// [`default_threads`]; `1` forces the sequential path; any other value
-/// fans parallel loops out with copy-on-write overlays and an ascending
-/// merge, so results and statistics are bit-identical across thread
-/// counts — and to the interpreter.
+/// [`default_threads`]; `1` runs the sequential machine on plain buffers;
+/// any other value runs on shared relaxed-atomic buffers and cuts every
+/// outermost coincident loop it meets into edge-free tasks on the pool of
+/// [`crate::execute_tree_dag`] — tasks of one loop touch disjoint
+/// elements and their counters sum, so results and statistics are
+/// bit-identical across thread counts, and to the interpreter.
 ///
 /// # Errors
 /// Returns an error on out-of-bounds accesses or unbounded dimensions
@@ -783,7 +823,19 @@ pub fn execute_compiled(
     n_threads: usize,
 ) -> Result<(ExecContext, ExecStats)> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_compiled_inner(program, compiled, n_threads)
+        let _span = tilefuse_trace::span!("codegen/vm-exec", "{}", program.name());
+        tilefuse_trace::governor::checkpoint("codegen/vm-exec")
+            .map_err(|e| Error::Presburger(tilefuse_presburger::Error::from(e)))?;
+        let n_threads = if n_threads == 0 {
+            default_threads()
+        } else {
+            n_threads
+        };
+        run_in_arena(program, compiled, n_threads > 1, |mem| {
+            let mut machine = Machine::new(compiled, n_threads);
+            machine.run(mem, 0, compiled.insts.len())?;
+            Ok(machine.stats)
+        })
     }))
     .unwrap_or_else(|payload| {
         Err(Error::Exec(format!(
@@ -794,40 +846,18 @@ pub fn execute_compiled(
     })
 }
 
-fn execute_compiled_inner(
+/// Executes a compiled program as the tasks of `dag` (the VM half of
+/// [`crate::execute_tree_dag_with`]).
+pub(crate) fn execute_compiled_dag(
     program: &Program,
     compiled: &CompiledProgram,
+    dag: &TileDag,
     n_threads: usize,
+    adversarial: bool,
 ) -> Result<(ExecContext, ExecStats)> {
-    let _span = tilefuse_trace::span!("codegen/vm-exec", "{}", program.name());
-    tilefuse_trace::governor::checkpoint("codegen/vm-exec")
-        .map_err(|e| Error::Presburger(tilefuse_presburger::Error::from(e)))?;
-    let n_threads = if n_threads == 0 {
-        default_threads()
-    } else {
-        n_threads
-    };
-    let overrides: Vec<(&str, i64)> = compiled
-        .param_names
-        .iter()
-        .map(String::as_str)
-        .zip(compiled.param_values.iter().copied())
-        .collect();
-    let mut ctx = ExecContext::initialized(program, &overrides);
-    // Move the buffer data into the VM's flat arena, run, and move it back
-    // (shapes agree: both sides derive them from the same binding).
-    let mut data: Vec<Vec<f64>> = Vec::with_capacity(compiled.bufs.len());
-    for b in &compiled.bufs {
-        data.push(std::mem::take(ctx.buffer_mut(b.array).data_mut()));
-    }
-    let mut machine = Machine::new(compiled, n_threads);
-    let mut mem = Mem::Direct(&mut data);
-    let r = machine.run(&mut mem, 0, compiled.insts.len());
-    for (b, d) in compiled.bufs.iter().zip(data) {
-        *ctx.buffer_mut(b.array).data_mut() = d;
-    }
-    r?;
-    Ok((ctx, machine.stats.into_stats(&compiled.stmt_names)))
+    run_in_arena(program, compiled, true, |mem| {
+        run_on_pool(compiled, dag, n_threads, adversarial, mem)
+    })
 }
 
 /// Which engine executes an optimized schedule tree.
@@ -862,33 +892,5 @@ impl ExecBackend {
 impl std::fmt::Display for ExecBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Executes `tree` on the selected backend with identical semantics:
-/// [`ExecBackend::Interp`] delegates to [`execute_tree_parallel`];
-/// [`ExecBackend::Vm`] lowers to bytecode ([`crate::lower_tree`]) and runs
-/// the compiled program. Outputs and [`ExecStats`] are bit-identical
-/// between backends for any valid tree — that invariant is enforced by
-/// the differential tests and the fuzz oracle's VM check.
-///
-/// # Errors
-/// Propagates lowering and execution failures from either backend.
-pub fn execute_tree_backend(
-    program: &Program,
-    tree: &ScheduleTree,
-    overrides: &[(&str, i64)],
-    scratch_scopes: &BTreeMap<ArrayId, usize>,
-    n_threads: usize,
-    backend: ExecBackend,
-) -> Result<(ExecContext, ExecStats)> {
-    match backend {
-        ExecBackend::Interp => {
-            execute_tree_parallel(program, tree, overrides, scratch_scopes, n_threads)
-        }
-        ExecBackend::Vm => {
-            let compiled = crate::lower::lower_tree(program, tree, overrides, scratch_scopes)?;
-            execute_compiled(program, &compiled, n_threads)
-        }
     }
 }

@@ -10,7 +10,8 @@
 //! every result the repository can compute twice:
 //!
 //! * transformed vs. reference buffers, **bit-exactly**;
-//! * sequential vs. parallel interpreter, buffers and statistics;
+//! * the sequential interpreter vs. the bytecode VM and the tile-DAG
+//!   pool at several thread counts, buffers and statistics;
 //! * Scanner-enumerated instance counts vs. symbolic `count_points`;
 //! * presburger memoization enabled vs. disabled;
 //! * the paper's shared-intermediate rules, re-verified independently of

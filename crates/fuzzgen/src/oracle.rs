@@ -9,27 +9,32 @@
 //! 2. the exact legality checker rejecting the transformed tree;
 //! 3. live-out buffers differing **bit-exactly** (tolerance 0) from the
 //!    reference interpretation of the original program;
-//! 4. the parallel interpreter (2 and 5 threads) differing from the
-//!    sequential one in any buffer or statistic;
-//! 5. interpreter instance counts differing from the Presburger
+//! 4. interpreter instance counts differing from the Presburger
 //!    `count_points` of each flattened entry's schedule graph (a Scanner
 //!    enumeration vs. symbolic counting differential);
-//! 6. a live-out or unfused statement executing a different number of
+//! 5. a live-out or unfused statement executing a different number of
 //!    instances than the reference (fusion must not introduce
 //!    recomputation there, and DCE may only drop *dead* instances —
 //!    live-outs never shrink);
-//! 7. a shared producer fused into several live-outs with per-live-out
+//! 6. a shared producer fused into several live-outs with per-live-out
 //!    slices that intersect (an independent re-verification of
 //!    Algorithm 3's Rule 2, which is what catches the deliberately
 //!    injected `FaultInjection::SkipSharedSliceCheck` bug);
-//! 8. any of the above differing when the presburger memo layers
+//! 7. any of the above differing when the presburger memo layers
 //!    (structural cache, inline emptiness flags, interval pre-check) are
-//!    disabled — memoization must be semantically invisible;
+//!    disabled — memoization must be semantically invisible.
+//!
+//! The two execution-runtime checks keep the numbers that the docs, CI
+//! and fuzz logs know them by (the slot between was the parallel
+//! interpreter's, retired with it); both drive the work-stealing pool at
+//! every [`OracleConfig::threads`] value:
+//!
 //! 9. the register-based bytecode VM (the optimized tree lowered via
-//!    `lower_tree`, executed sequentially and at every parallel thread
-//!    count) differing from the sequential interpreter in any buffer bit
-//!    or statistic — `FaultInjection::VmMisLower` deliberately corrupts
-//!    the lowering here to prove this check catches a miscompile;
+//!    `lower_tree`, executed sequentially and — coincident loops cut into
+//!    pool tasks — at every thread count) differing from the sequential
+//!    interpreter in any buffer bit or statistic —
+//!    `FaultInjection::VmMisLower` deliberately corrupts the lowering
+//!    here to prove this check catches a miscompile;
 //! 10. the tile-level task-DAG work-stealing runtime (both backends, at
 //!     every thread count plus a single-threaded *adversarial* drain that
 //!     runs the latest ready task first) differing from the sequential
@@ -42,8 +47,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::spec::{build_program, ProgramSpec};
 use tilefuse_codegen::{
-    check_outputs_match, execute_compiled, execute_tree, execute_tree_dag_with,
-    execute_tree_parallel, lower_tree, reference_execute, ExecBackend, ExecStats,
+    check_outputs_match, execute_compiled, execute_tree, execute_tree_dag_with, lower_tree,
+    reference_execute, ExecBackend, ExecStats,
 };
 use tilefuse_core::{optimize, FaultInjection, Optimized, Options};
 use tilefuse_pir::Program;
@@ -54,7 +59,7 @@ use tilefuse_scheduler::{build_tile_dag, check_schedule, FusionHeuristic};
 /// What the oracle runs and compares.
 #[derive(Debug, Clone)]
 pub struct OracleConfig {
-    /// Thread counts for the parallel-interpreter differential.
+    /// Pool thread counts for the VM and tile-DAG differentials.
     pub threads: Vec<usize>,
     /// Re-run the pipeline with the presburger memo disabled and compare.
     /// Ignored (forced off) when `budget` is set: memoization legitimately
@@ -102,7 +107,6 @@ impl Failure {
         match self.check {
             "legality"
             | "output-mismatch"
-            | "parallel-mismatch"
             | "instance-count"
             | "liveout-count"
             | "unfused-count"
@@ -290,39 +294,6 @@ pub fn run_oracle(spec: &ProgramSpec, cfg: &OracleConfig) -> Result<(), Failure>
     check_outputs_match(&program, &reference, &run.context, 0.0)
         .map_err(|e| fail("output-mismatch", e))?;
 
-    // Sequential vs. parallel interpreter: buffers AND statistics.
-    for &threads in &cfg.threads {
-        let (par, par_stats) = execute_tree_parallel(
-            &program,
-            &o.tree,
-            &overrides,
-            &o.report.scratch_scopes,
-            threads,
-        )
-        .map_err(|e| fail("parallel-execute", e))?;
-        for a in program.arrays() {
-            let d = run
-                .context
-                .max_diff(&par, a.id())
-                .map_err(|e| fail("parallel-execute", e))?;
-            if d != 0.0 {
-                return Err(fail(
-                    "parallel-mismatch",
-                    format!("array {} differs by {d} with {threads} threads", a.name()),
-                ));
-            }
-        }
-        if par_stats != run.stats {
-            return Err(fail(
-                "parallel-mismatch",
-                format!(
-                    "stats differ with {threads} threads: {par_stats:?} vs {:?}",
-                    run.stats
-                ),
-            ));
-        }
-    }
-
     // Scanner enumeration vs. symbolic point counting: the interpreter's
     // per-statement instance counts must equal the count_points of each
     // flattened entry's schedule graph.
@@ -465,8 +436,8 @@ pub fn run_oracle(spec: &ProgramSpec, cfg: &OracleConfig) -> Result<(), Failure>
     }
 
     // Compiled-backend differential: lower the optimized tree to bytecode
-    // and run it on the register VM, sequentially and at every parallel
-    // thread count. Buffers must be bit-identical and statistics equal to
+    // and run it on the register VM, sequentially and with its coincident
+    // loops cut into pool tasks at every thread count. Buffers must be bit-identical and statistics equal to
     // the sequential interpreter's. `FaultInjection::VmMisLower` corrupts
     // the lowered program here (one load's access function offset by one
     // element) so a self-test can prove this check catches a miscompile

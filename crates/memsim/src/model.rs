@@ -54,33 +54,14 @@ impl CpuModel {
         self.threads = threads;
         self
     }
-
-    /// The same machine restricted to the *host's* effective thread count
-    /// (see [`host_threads`]) — used when a simulation should mirror what
-    /// the parallel interpreter on this machine actually runs with.
-    #[must_use]
-    pub fn with_host_threads(self) -> Self {
-        let n = host_threads();
-        self.with_threads(n)
-    }
 }
 
 /// The effective worker-thread count on the host running the simulation:
-/// the `TILEFUSE_JOBS` environment variable if set to a positive integer,
-/// otherwise [`std::thread::available_parallelism`]. This is the same
-/// policy the parallel interpreter and the experiment driver use, so
-/// simulated and executed thread counts agree.
+/// [`tilefuse_codegen::default_threads`], the policy every executor and
+/// the experiment driver use, so simulated and executed thread counts
+/// agree.
 pub fn host_threads() -> usize {
-    if let Ok(s) = std::env::var("TILEFUSE_JOBS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    tilefuse_codegen::default_threads()
 }
 
 /// A GPU with two-level parallelism, shared memory, and kernel launches
@@ -180,7 +161,5 @@ mod tests {
     #[test]
     fn host_threads_is_positive() {
         assert!(host_threads() >= 1);
-        let cpu = CpuModel::xeon_e5_2683_v4().with_host_threads();
-        assert_eq!(cpu.threads, host_threads());
     }
 }

@@ -1,10 +1,12 @@
-//! Differential test of the tile-level task-DAG work-stealing runtime
-//! against the sequential interpreter: the wavefront stencil (whose outer
-//! band carries a dependence, so no loop-level runtime can parallelize
+//! Differential test of the one parallel runtime — the work-stealing pool
+//! — against the sequential interpreter: the wavefront stencil (whose
+//! outer band carries a dependence, so no loop-level cut can parallelize
 //! it) and every PolyMage workload on its optimized tree, at two tile
 //! sizes, at 1/2/4 worker threads (1/2/4/8 on the stencil — the CI
-//! thread-count soak), on both execution backends — plus the
-//! single-threaded adversarial drain (latest ready task first). Every run
+//! thread-count soak): the tile DAG on both execution backends — plus the
+//! single-threaded adversarial drain (latest ready task first) — and
+//! `execute_compiled`'s edge-free tasks. Small hand-built inputs steer a
+//! pinned task prefix across every bytecode instruction kind. Every run
 //! must produce bit-identical buffers AND identical execution statistics
 //! (instance counts, loads, stores, scratch hits).
 //!
@@ -16,12 +18,13 @@
 use std::collections::BTreeMap;
 
 use tilefuse::codegen::{
-    execute_tree_dag_with, execute_tree_parallel, ExecBackend, ExecContext, ExecStats,
+    disasm, execute_compiled, execute_tree, execute_tree_dag_with, lower_tree, ExecBackend,
+    ExecContext, ExecStats,
 };
 use tilefuse::core::{optimize, Options};
-use tilefuse::pir::{ArrayId, Program};
+use tilefuse::pir::{ArrayId, ArrayKind, Body, Expr, IdxExpr, Program, SchedTerm};
 use tilefuse::schedtree::ScheduleTree;
-use tilefuse::scheduler::build_tile_dag;
+use tilefuse::scheduler::{build_tile_dag, schedule, FusionHeuristic};
 
 /// Asserts every buffer of both contexts is bit-identical (f64 bit
 /// patterns, not epsilon comparison) and the statistics match exactly.
@@ -47,8 +50,9 @@ fn assert_bit_exact(
 }
 
 /// Builds the tile DAG for one tree and runs it on both backends at every
-/// thread count plus the adversarial drain, pinning each run bit-exactly
-/// to the sequential interpreter.
+/// thread count plus the adversarial drain, then the compiled program with
+/// its coincident loops cut into pool tasks at every thread count, pinning
+/// each run bit-exactly to the sequential interpreter.
 fn check_tree(
     program: &Program,
     tree: &ScheduleTree,
@@ -56,8 +60,16 @@ fn check_tree(
     threads: &[usize],
     label: &str,
 ) {
-    let seq = execute_tree_parallel(program, tree, &[], scopes, 1)
+    let seq = execute_tree(program, tree, &[], scopes)
         .unwrap_or_else(|e| panic!("{label}: sequential reference failed: {e}"));
+    let compiled = lower_tree(program, tree, &[], scopes)
+        .unwrap_or_else(|e| panic!("{label}: lowering failed: {e}"));
+    for &n in threads {
+        let what = format!("{label} execute_compiled threads={n}");
+        let got = execute_compiled(program, &compiled, n)
+            .unwrap_or_else(|e| panic!("{what}: VM run failed: {e}"));
+        assert_bit_exact(program, &what, &seq, &got);
+    }
     let dag = build_tile_dag(program, tree, &[], scopes)
         .unwrap_or_else(|e| panic!("{label}: build_tile_dag failed: {e}"));
     for backend in [ExecBackend::Interp, ExecBackend::Vm] {
@@ -135,4 +147,115 @@ fn polymage_workloads_bit_exact_on_dag_runtime() {
             );
         }
     }
+}
+
+/// `A[i] = 2i` on `0..N`, then `B[i] = A[i] + A[i-1]` on `1..N`: legal to
+/// run as two loops or fused into one, and the two domains differ so a
+/// merged loop's guards disagree at `i = 0`.
+fn two_stage(n: i64) -> Program {
+    let mut p = Program::new("two_stage").with_param("N", n);
+    let a = p.add_array("A", vec!["N".into()], ArrayKind::Temp);
+    let b = p.add_array("B", vec!["N".into()], ArrayKind::Output);
+    let i = || IdxExpr::dim(1, 0);
+    p.add_stmt(
+        "{ S0[i] : 0 <= i < N }",
+        vec![SchedTerm::Cst(0), SchedTerm::Var(0)],
+        Body {
+            target: a,
+            target_idx: vec![i()],
+            rhs: Expr::mul(Expr::Iter(0), Expr::Const(2.0)),
+        },
+    )
+    .unwrap();
+    p.add_stmt(
+        "{ S1[i] : 1 <= i < N }",
+        vec![SchedTerm::Cst(1), SchedTerm::Var(0)],
+        Body {
+            target: b,
+            target_idx: vec![i()],
+            rhs: Expr::add(
+                Expr::load(a, vec![i()]),
+                Expr::load(a, vec![i().offset(-1)]),
+            ),
+        },
+    )
+    .unwrap();
+    p
+}
+
+/// Asserts the listing has an instruction of `kind` driving schedule dim
+/// `d<dim>` (so a task prefix longer than `dim` pins it).
+fn assert_inst(listing: &str, kind: &str, dim: usize, label: &str) {
+    let needle = format!("{kind} d{dim}");
+    assert!(
+        listing.lines().any(|l| l
+            .split_whitespace()
+            .collect::<Vec<_>>()
+            .join(" ")
+            .contains(&needle)),
+        "{label}: no `{needle}` in\n{listing}"
+    );
+}
+
+#[test]
+fn pinned_prefix_crosses_every_instruction_kind() {
+    let none = BTreeMap::new();
+    let p = two_stage(9);
+
+    // Two loops in sequence: the prefix [stage, i] pins a static
+    // partition on the sequence dim and a fused loop.
+    let split = schedule(&p, FusionHeuristic::MinFuse)
+        .expect("minfuse")
+        .tree;
+    let listing = disasm(&lower_tree(&p, &split, &[], &none).expect("lower"));
+    let dag = build_tile_dag(&p, &split, &[], &none).expect("dag");
+    assert_eq!(dag.prefix_len, 2, "{listing}");
+    assert_inst(&listing, "set", 0, "minfuse");
+    assert_inst(&listing, "fused_loop", 1, "minfuse");
+    assert!(dag.n_edges() > 0, "stage 1 waits on stage 0");
+    check_tree(&p, &split, &none, &[1, 2, 4], "two_stage minfuse");
+
+    // One fused loop: the prefix [i] pins a merged loop whose two guards
+    // disagree at i = 0, with the sequence partitions below the prefix.
+    let fused = schedule(&p, FusionHeuristic::MaxFuse)
+        .expect("maxfuse")
+        .tree;
+    let listing = disasm(&lower_tree(&p, &fused, &[], &none).expect("lower"));
+    let dag = build_tile_dag(&p, &fused, &[], &none).expect("dag");
+    assert_eq!(dag.prefix_len, 1, "{listing}");
+    assert_inst(&listing, "loop_open L0", 0, "maxfuse");
+    assert!(
+        listing.contains("s0{") && listing.contains("s1{"),
+        "{listing}"
+    );
+    assert_inst(&listing, "set", 1, "maxfuse");
+    check_tree(&p, &fused, &none, &[1, 2, 4], "two_stage maxfuse");
+
+    // Post-tiling fusion: the prefix [1, tile] pins a coincident merged
+    // loop whose producer guard is a multi-group union box, with the
+    // fused producer in tile-local scratch (the last tile is partial).
+    let opt = optimize(&p, &Options::cpu(&[4])).expect("optimize");
+    let scopes = &opt.report.scratch_scopes;
+    let listing = disasm(&lower_tree(&p, &opt.tree, &[], scopes).expect("lower"));
+    let dag = build_tile_dag(&p, &opt.tree, &[], scopes).expect("dag");
+    assert_eq!(dag.prefix_len, 2, "{listing}");
+    assert_eq!(dag.n_tasks(), 3, "{listing}");
+    assert_inst(&listing, "loop_open L0", 1, "optimized");
+    assert!(
+        listing.contains("par") && listing.contains("min["),
+        "{listing}"
+    );
+    let (_, stats) = execute_tree(&p, &opt.tree, &[], scopes).expect("interp");
+    assert!(
+        stats.scratch_hits > 0,
+        "fused producer is read from scratch"
+    );
+    check_tree(&p, &opt.tree, scopes, &[1, 2, 4], "two_stage optimized");
+
+    // A tile larger than the extent: one task, every pinned loop at 0.
+    let w = tilefuse::workloads::wavefront::upwind(12, 12).expect("workload");
+    let tree = tilefuse::workloads::wavefront::tiled_tree(16).expect("tree");
+    let dag = build_tile_dag(&w.program, &tree, &[], &none).expect("dag");
+    assert_eq!(dag.tasks, vec![vec![0, 0]]);
+    check_tree(&w.program, &tree, &none, &[1, 2], "upwind tile>extent");
 }

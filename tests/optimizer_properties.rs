@@ -6,7 +6,7 @@
 //! generator so the suite is reproducible without external dependencies.
 
 use tilefuse::codegen::{
-    check_outputs_match, execute_tree, execute_tree_backend, execute_tree_parallel,
+    check_outputs_match, execute_compiled, execute_tree, execute_tree_dag, lower_tree,
     reference_execute, ExecBackend,
 };
 use tilefuse::core::{optimize, FaultInjection, Options};
@@ -108,9 +108,11 @@ fn random_pipeline_post_tiling_fusion_is_correct() {
     }
 }
 
-/// The parallel interpreter must be *bit-identical* to the sequential one
-/// — buffers and statistics — on optimized (tiled, post-tiling-fused,
-/// scratch-carrying) schedules, for every thread count.
+/// Parallel execution — the tile DAG on the interpreter, and the compiled
+/// program with its coincident loops cut into pool tasks — must be
+/// *bit-identical* to the sequential interpreter — buffers and statistics
+/// — on optimized (tiled, post-tiling-fused, scratch-carrying) schedules,
+/// for every thread count.
 #[test]
 fn random_pipeline_parallel_execution_is_bit_identical() {
     let mut rng = Rng::new(0xd1ce);
@@ -125,23 +127,29 @@ fn random_pipeline_parallel_execution_is_bit_identical() {
             ..Default::default()
         };
         let o = optimize(&p, &opts).unwrap();
-        let (seq, seq_stats) = execute_tree(&p, &o.tree, &[], &o.report.scratch_scopes).unwrap();
+        let scopes = &o.report.scratch_scopes;
+        let (seq, seq_stats) = execute_tree(&p, &o.tree, &[], scopes).unwrap();
+        let compiled = lower_tree(&p, &o.tree, &[], scopes).unwrap();
         for threads in [2, 5] {
-            let (par, par_stats) =
-                execute_tree_parallel(&p, &o.tree, &[], &o.report.scratch_scopes, threads).unwrap();
-            for a in p.arrays() {
+            let runs = [
+                execute_tree_dag(&p, &o.tree, &[], scopes, threads, ExecBackend::Interp).unwrap(),
+                execute_compiled(&p, &compiled, threads).unwrap(),
+            ];
+            for (par, par_stats) in runs {
+                for a in p.arrays() {
+                    assert_eq!(
+                        seq.max_diff(&par, a.id()).unwrap(),
+                        0.0,
+                        "case {case}: array {} differs with {threads} threads \
+                         (kinds = {kinds:?}, tile = {tile})",
+                        a.name()
+                    );
+                }
                 assert_eq!(
-                    seq.max_diff(&par, a.id()).unwrap(),
-                    0.0,
-                    "case {case}: array {} differs with {threads} threads \
-                     (kinds = {kinds:?}, tile = {tile})",
-                    a.name()
+                    seq_stats, par_stats,
+                    "case {case}: stats differ with {threads} threads (kinds = {kinds:?})"
                 );
             }
-            assert_eq!(
-                seq_stats, par_stats,
-                "case {case}: stats differ with {threads} threads (kinds = {kinds:?})"
-            );
         }
     }
 }
@@ -201,16 +209,9 @@ fn degraded_schedules_are_bit_exact_across_backends() {
             "case {case}: degraded without a recorded trip"
         );
         let (seq, seq_stats) = execute_tree(&p, &oi.tree, &[], &oi.report.scratch_scopes).unwrap();
+        let compiled = lower_tree(&p, &ov.tree, &[], &ov.report.scratch_scopes).unwrap();
         for threads in [1, 3] {
-            let (vm, vm_stats) = execute_tree_backend(
-                &p,
-                &ov.tree,
-                &[],
-                &ov.report.scratch_scopes,
-                threads,
-                ExecBackend::Vm,
-            )
-            .unwrap();
+            let (vm, vm_stats) = execute_compiled(&p, &compiled, threads).unwrap();
             for a in p.arrays() {
                 let bi = seq.buffer(a.id()).data();
                 let bv = vm.buffer(a.id()).data();

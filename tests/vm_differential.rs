@@ -1,17 +1,16 @@
 //! Differential test of the bytecode VM against the reference
 //! interpreter: for every PolyMage workload and the paper's running
-//! example, at two tile sizes, sequentially and in parallel, the VM must
-//! produce bit-identical buffers AND identical execution statistics
-//! (instance counts, loads, stores, scratch hits).
+//! example, at two tile sizes, sequentially and with coincident loops cut
+//! into pool tasks, the VM must produce bit-identical buffers AND
+//! identical execution statistics (instance counts, loads, stores,
+//! scratch hits).
 //!
 //! The interpreter is the semantic oracle (it is itself checked against
 //! `reference_execute` elsewhere); this test pins the VM to it exactly.
 
 use std::collections::BTreeMap;
 
-use tilefuse::codegen::{
-    execute_tree_backend, execute_tree_parallel, ExecBackend, ExecContext, ExecStats,
-};
+use tilefuse::codegen::{execute_compiled, execute_tree, lower_tree, ExecContext, ExecStats};
 use tilefuse::core::{optimize, Options};
 use tilefuse::pir::{ArrayId, ArrayKind, Body, Expr, IdxExpr, Program, SchedTerm};
 use tilefuse::schedtree::ScheduleTree;
@@ -115,8 +114,8 @@ fn assert_bit_exact(
     assert_eq!(interp.1, vm.1, "{what}: execution statistics differ");
 }
 
-/// Runs both backends on one tree at every thread count, checking
-/// bit-exactness of buffers and stats each time against a sequential
+/// Lowers one tree and runs the VM at every thread count, checking
+/// bit-exactness of buffers and stats each time against the sequential
 /// interpreter reference.
 fn check_tree(
     program: &Program,
@@ -125,23 +124,14 @@ fn check_tree(
     interp: &(ExecContext, ExecStats),
     label: &str,
     threads: &[usize],
-    recheck_interp: bool,
 ) {
+    let compiled = lower_tree(program, tree, &[], scopes)
+        .unwrap_or_else(|e| panic!("{label}: lowering failed: {e}"));
     for &n in threads {
         let what = format!("{label} threads={n}");
-        let vm = execute_tree_backend(program, tree, &[], scopes, n, ExecBackend::Vm)
+        let vm = execute_compiled(program, &compiled, n)
             .unwrap_or_else(|e| panic!("{what}: VM failed: {e}"));
         assert_bit_exact(program, &what, interp, &vm);
-        if !recheck_interp {
-            continue;
-        }
-        // The interpreter itself must also be thread-count independent;
-        // re-check so a mismatch clearly blames the right backend. (Only
-        // on the cheap running example — the interpreter is the slow side
-        // and this triples its runs.)
-        let interp_n = execute_tree_backend(program, tree, &[], scopes, n, ExecBackend::Interp)
-            .unwrap_or_else(|e| panic!("{what}: interpreter failed: {e}"));
-        assert_bit_exact(program, &format!("{what} (interp par)"), interp, &interp_n);
     }
 }
 
@@ -150,37 +140,19 @@ fn check_tree(
 /// hit a pre-existing interpreter limitation on their *optimized* trees
 /// (`Unbounded` during scanning) — since the interpreter is the oracle,
 /// those fall back to the minfuse-scheduled tree, which both backends run.
-fn check_program(program: &Program, tile: &[i64], threads: &[usize], recheck_interp: bool) {
+fn check_program(program: &Program, tile: &[i64], threads: &[usize]) {
     let opt = optimize(program, &Options::cpu(tile)).expect("optimize");
     let scopes = &opt.report.scratch_scopes;
     let label = format!("{} tile={tile:?}", program.name());
-    match execute_tree_parallel(program, &opt.tree, &[], scopes, 1) {
-        Ok(interp) => {
-            check_tree(
-                program,
-                &opt.tree,
-                scopes,
-                &interp,
-                &label,
-                threads,
-                recheck_interp,
-            );
-        }
+    match execute_tree(program, &opt.tree, &[], scopes) {
+        Ok(interp) => check_tree(program, &opt.tree, scopes, &interp, &label, threads),
         Err(_) => {
             let sched = schedule(program, FusionHeuristic::MinFuse).expect("schedule");
             let label = format!("{label} (scheduled tree)");
             let scopes = BTreeMap::new();
-            let interp = execute_tree_parallel(program, &sched.tree, &[], &scopes, 1)
+            let interp = execute_tree(program, &sched.tree, &[], &scopes)
                 .unwrap_or_else(|e| panic!("{label}: interpreter reference failed: {e}"));
-            check_tree(
-                program,
-                &sched.tree,
-                &scopes,
-                &interp,
-                &label,
-                threads,
-                recheck_interp,
-            );
+            check_tree(program, &sched.tree, &scopes, &interp, &label, threads);
         }
     }
 }
@@ -188,7 +160,7 @@ fn check_program(program: &Program, tile: &[i64], threads: &[usize], recheck_int
 #[test]
 fn running_example_bit_exact() {
     for tile in [&[2i64, 2][..], &[4, 4][..]] {
-        check_program(&conv2d(8, 8), tile, &[1, 2, 4], true);
+        check_program(&conv2d(8, 8), tile, &[1, 2, 4]);
     }
 }
 
@@ -196,7 +168,7 @@ fn running_example_bit_exact() {
 fn polymage_workloads_bit_exact() {
     for w in tilefuse::workloads::polymage::all(16, 16).expect("workloads") {
         for tile in [&[4i64, 4][..], &[8, 8][..]] {
-            check_program(&w.program, tile, &[1, 4], false);
+            check_program(&w.program, tile, &[1, 2, 4]);
         }
     }
 }
