@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use tilefuse_pir::{ArrayId, BinOp, UnOp};
-use tilefuse_presburger::Set;
+use tilefuse_presburger::BasicSet;
 
 /// A compiled affine bound for one loop level or fiber level:
 /// `coeff * x` compared against `constant + Σ terms`, where each term reads
@@ -117,12 +117,40 @@ pub(crate) struct StreamMeta {
     pub entry: usize,
     /// Per-instance-dim bounds (levels `n_sched..n_sched + n_inst`).
     pub inst_levels: Vec<CLevel>,
-    /// Exact membership test over `[params | sched | inst]`. Present when
+    /// Exact membership test of the point `[sched | inst]`. Present when
     /// the disjunct carries existential divs (the compiled per-level
     /// bounds are exact otherwise — see `Scanner::branch_exact`), or when
     /// this stream's levels are the union box of a many-disjunct union
     /// and must reject box points outside the union.
-    pub exact: Option<Set>,
+    pub exact: Option<CFilter>,
+}
+
+/// One div-free disjunct of a stream's exact set, compiled: a point is in
+/// it iff every `eqs` row evaluates to zero and every `ineqs` row to a
+/// non-negative value over the register file.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct CDisjunct {
+    pub eqs: Vec<CAffine>,
+    pub ineqs: Vec<CAffine>,
+}
+
+impl CDisjunct {
+    #[inline]
+    pub(crate) fn contains(&self, regs: &[i64]) -> bool {
+        self.ineqs.iter().all(|r| r.eval(regs) >= 0) && self.eqs.iter().all(|r| r.eval(regs) == 0)
+    }
+}
+
+/// A stream's exact set as the VM tests it: the point is a member iff some
+/// disjunct accepts it.
+#[derive(Debug, Clone)]
+pub(crate) struct CFilter {
+    /// The div-free disjuncts, compiled at lowering time.
+    pub rows: Vec<CDisjunct>,
+    /// The disjuncts that carry existential divs: membership means solving
+    /// for the divs, so these keep their set and take the point as
+    /// `[params | sched | inst]`.
+    pub divs: Vec<BasicSet>,
 }
 
 /// Per-stream guard of a merged loop: the stream participates in the
@@ -215,7 +243,7 @@ pub(crate) struct FiberMeta {
     /// identical instance-level bounds and exactness test, so their
     /// instance boxes coincide at every schedule point and one walk per
     /// group (if any member is active) covers them all. Disjunct
-    /// case-splits of a tiled halo relation produce thousands of streams
+    /// case-splits of a tiled halo relation produce many streams
     /// that differ only in schedule-dim coverage — this collapses the
     /// per-point fiber cost from O(streams) to O(groups).
     pub groups: Vec<Vec<usize>>,
@@ -247,9 +275,10 @@ pub(crate) enum Inst {
     Fused(usize),
 }
 
-/// A compiled affine index expression over the entry's instance-dim
-/// registers; parameters folded into `constant`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A compiled affine expression over the integer registers (an access
+/// coordinate, or a row of a [`CDisjunct`]); parameters folded into
+/// `constant`.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct CAffine {
     pub terms: Vec<(usize, i64)>,
     pub constant: i64,

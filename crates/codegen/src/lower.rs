@@ -43,13 +43,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::bytecode::{
-    BodyOp, BufMeta, CAccess, CAffine, CBound, CLevel, CompiledBody, CompiledProgram, FiberMeta,
-    FusedMeta, Inst, KernelKind, LoopMeta, ScratchMeta, StreamGuard, StreamMeta,
+    BodyOp, BufMeta, CAccess, CAffine, CBound, CDisjunct, CFilter, CLevel, CompiledBody,
+    CompiledProgram, FiberMeta, FusedMeta, Inst, KernelKind, LoopMeta, ScratchMeta, StreamGuard,
+    StreamMeta,
 };
 use crate::error::{Error, Result};
 use crate::interp::make_binding;
 use tilefuse_pir::{ArrayId, Expr, IdxExpr, Program};
-use tilefuse_presburger::{LoopBounds, Scanner, Set};
+use tilefuse_presburger::{BasicSet, LoopBounds, Scanner};
 use tilefuse_schedtree::{flatten, ScheduleTree};
 
 /// `ceil(n / d)` for `d > 0` (mirrors the scanner's bound evaluation).
@@ -72,9 +73,9 @@ pub(crate) fn fdiv(n: i64, d: i64) -> i64 {
     }
 }
 
-/// Folds a scanner bound row `[params | dims | const]` into a [`CBound`]
-/// with the parameter contribution substituted.
-fn cbound(coeff: i64, row: &[i64], n_param: usize, values: &[i64]) -> CBound {
+/// Folds a row `[params | dims | const]` into register terms and a
+/// constant with the parameter contribution substituted.
+fn caffine_row(row: &[i64], n_param: usize, values: &[i64]) -> CAffine {
     let mut constant = row[row.len() - 1];
     for (c, v) in row[..n_param].iter().zip(values) {
         constant += c * v;
@@ -85,6 +86,12 @@ fn cbound(coeff: i64, row: &[i64], n_param: usize, values: &[i64]) -> CBound {
         .filter(|(_, &c)| c != 0)
         .map(|(j, &c)| (j, c))
         .collect();
+    CAffine { terms, constant }
+}
+
+/// Folds a scanner bound row into a [`CBound`].
+fn cbound(coeff: i64, row: &[i64], n_param: usize, values: &[i64]) -> CBound {
+    let CAffine { terms, constant } = caffine_row(row, n_param, values);
     CBound {
         coeff,
         terms,
@@ -92,13 +99,52 @@ fn cbound(coeff: i64, row: &[i64], n_param: usize, values: &[i64]) -> CBound {
     }
 }
 
+/// Compiles the disjuncts of a stream's exact set (over `[params | sched |
+/// inst]`) into its runtime filter. A div-free disjunct becomes rows over
+/// the register file: rows the parameters decide are dropped (they hold,
+/// or `empty_under_params` has dropped the disjunct), and disjuncts that
+/// fold to the same rows collapse. A disjunct with divs keeps its set.
+fn cfilter<'a>(
+    basics: impl IntoIterator<Item = &'a BasicSet>,
+    n_param: usize,
+    values: &[i64],
+) -> CFilter {
+    let compile = |rows: &[Vec<i64>]| {
+        let mut out: Vec<CAffine> = rows
+            .iter()
+            .map(|r| caffine_row(r, n_param, values))
+            .filter(|r| !r.terms.is_empty())
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    };
+    let mut rows = Vec::new();
+    let mut divs = Vec::new();
+    for b in basics {
+        if empty_under_params(b, values) {
+            continue;
+        }
+        if b.n_div() > 0 {
+            divs.push(b.clone());
+        } else {
+            rows.push(CDisjunct {
+                eqs: compile(b.eq_rows()),
+                ineqs: compile(b.ineq_rows()),
+            });
+        }
+    }
+    rows.sort_unstable();
+    rows.dedup();
+    CFilter { rows, divs }
+}
+
 fn clevel(lb: &LoopBounds, n_param: usize, values: &[i64]) -> CLevel {
     // Canonicalize: `max(lowers)` / `min(uppers)` are order-insensitive
     // multiset reductions, so sorting and deduplicating changes nothing
     // semantically but lets identical FM branches collapse into one
-    // stream (the real-shadow case splits produce thousands of disjuncts
-    // that fold to a handful of distinct bound sets after parameter
-    // substitution).
+    // stream (case-split disjuncts often fold to a handful of distinct
+    // bound sets after parameter substitution).
     let mut lowers: Vec<CBound> = lb
         .lowers
         .iter()
@@ -258,14 +304,17 @@ impl Emitter<'_> {
         let n_inst = self.streams[streams[0]].inst_levels.len();
         // Partition into walk groups: streams whose instance-level bounds
         // and exact test coincide enumerate the same box at every point.
-        let mut by_key: BTreeMap<(&[CLevel], Option<String>), Vec<usize>> = BTreeMap::new();
+        let mut by_key: BTreeMap<_, Vec<usize>> = BTreeMap::new();
         for &s in &streams {
             let sm = &self.streams[s];
-            let key = (
-                sm.inst_levels.as_slice(),
-                sm.exact.as_ref().map(|e| format!("{e:?}")),
-            );
-            by_key.entry(key).or_default().push(s);
+            let exact = sm.exact.as_ref().map(|f| {
+                let divs: Vec<_> = f.divs.iter().map(basic_rows).collect();
+                (f.rows.as_slice(), divs)
+            });
+            by_key
+                .entry((sm.inst_levels.as_slice(), exact))
+                .or_default()
+                .push(s);
         }
         let groups = by_key.into_values().collect();
         self.fibers.push(FiberMeta {
@@ -512,11 +561,16 @@ fn compile_expr(
     }
 }
 
+/// A basic set's rows: what tells two disjuncts of one space apart.
+fn basic_rows(b: &BasicSet) -> (&[Vec<i64>], &[Vec<i64>]) {
+    (b.eq_rows(), b.ineq_rows())
+}
+
 /// Whether a branch is empty under the concrete parameter values because
 /// of constraints that involve no set dimension and no div — rows no loop
 /// level ever records, which the interpreter only catches through its leaf
 /// membership test.
-fn empty_under_params(b: &tilefuse_presburger::BasicSet, values: &[i64]) -> bool {
+fn empty_under_params(b: &BasicSet, values: &[i64]) -> bool {
     let n_param = b.space().n_param();
     let n_var = b.space().n_dim() + b.n_div();
     let pure = |r: &[i64]| r[n_param..n_param + n_var].iter().all(|&c| c == 0);
@@ -552,7 +606,10 @@ pub fn lower_tree(
         .map_err(|e| Error::Presburger(tilefuse_presburger::Error::from(e)))?;
     program.validate_params()?;
     let values = program.param_values(overrides);
-    let entries = flatten(tree)?;
+    let entries = {
+        let _s = tilefuse_trace::span!("codegen/lower/flatten");
+        flatten(tree)?
+    };
     let n_sched = entries
         .iter()
         .map(|e| e.schedule.space().n_out())
@@ -562,6 +619,8 @@ pub fn lower_tree(
     // Parallelizable depths: every entry iterating the depth coincident,
     // every scratch scope strictly deeper (see `interp::parallel_depths`).
     let par_ok = crate::interp::parallel_depths(&entries, scratch_scopes);
+
+    let bodies_span = tilefuse_trace::span!("codegen/lower/bodies");
 
     // Buffers, in array-id order.
     let mut bufs = Vec::new();
@@ -621,8 +680,11 @@ pub fn lower_tree(
         entry_labels.push(format!("{}#{order}", e.stmt));
     }
 
+    drop(bodies_span);
+
     // Streams: the disjuncts of each entry's schedule graph, scanned as
     // [sched dims, inst dims].
+    let scan_span = tilefuse_trace::span!("codegen/lower/scan", "{} entries", entries.len());
     let n_param = program.params().len();
     let mut lstreams = Vec::new();
     let mut streams = Vec::new();
@@ -641,7 +703,7 @@ pub fn lower_tree(
         // stream enumerates the same point set as any bound-identical
         // sibling (and the fiber deduplicates instances anyway), so keep
         // one representative per distinct triple.
-        let mut seen: BTreeSet<(Vec<CLevel>, Vec<CLevel>, Option<String>)> = BTreeSet::new();
+        let mut seen = BTreeSet::new();
         let mut e_lstreams = Vec::new();
         let mut e_streams = Vec::new();
         for bi in 0..scanner.n_branch() {
@@ -659,11 +721,11 @@ pub fn lower_tree(
                 .iter()
                 .map(|lb| clevel(lb, n_param, &values))
                 .collect();
-            let exact = (exact_set.n_div() > 0).then(|| Set::from_basic(exact_set.clone()));
+            let divful = exact_set.n_div() > 0;
             let key = (
                 sched.clone(),
                 inst_levels.clone(),
-                exact.as_ref().map(|s| format!("{s:?}")),
+                divful.then(|| basic_rows(exact_set)),
             );
             if !seen.insert(key) {
                 continue;
@@ -672,11 +734,11 @@ pub fn lower_tree(
             e_streams.push(StreamMeta {
                 entry: order,
                 inst_levels,
-                exact,
+                exact: divful.then(|| cfilter([exact_set], n_param, &values)),
             });
         }
-        // Tile-halo relations decompose into hundreds or thousands of
-        // clip case-split disjuncts; kept as separate streams they make
+        // Tile-halo relations decompose into dozens of clip case-split
+        // disjuncts (81 for a 2-D halo); kept as separate streams they make
         // per-point fiber and guard cost O(disjuncts). Collapse such an
         // entry into ONE stream whose levels are the union box of the
         // per-disjunct bounds (alternative groups, min-of-max /
@@ -700,7 +762,7 @@ pub fn lower_tree(
             streams.push(StreamMeta {
                 entry: order,
                 inst_levels,
-                exact: Some(ws.clone()),
+                exact: Some(cfilter(ws.basics(), n_param, &values)),
             });
         } else {
             lstreams.extend(e_lstreams);
@@ -708,6 +770,9 @@ pub fn lower_tree(
         }
     }
 
+    drop(scan_span);
+
+    let emit_span = tilefuse_trace::span!("codegen/lower/emit", "{} streams", streams.len());
     let mut em = Emitter {
         n_sched,
         par_ok: &par_ok,
@@ -724,6 +789,7 @@ pub fn lower_tree(
     };
     let all: Vec<usize> = (0..streams.len()).collect();
     em.emit(&all, 0);
+    drop(emit_span);
 
     Ok(CompiledProgram {
         name: program.name().to_owned(),
@@ -760,5 +826,37 @@ impl CompiledProgram {
             }
         }
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Harris at tile 4x4 is the program whose halo streams once carried
+    /// 1296 disjuncts with existential divs (redundant splinters of every
+    /// tile-index projection). Exact projection leaves at most 81, none
+    /// with a div, all compiled to register rows.
+    #[test]
+    fn harris_filters_are_div_free_and_small() {
+        let program = tilefuse_workloads::polymage::harris(32, 32)
+            .unwrap()
+            .program;
+        let opt = tilefuse_core::optimize(&program, &tilefuse_core::Options::cpu(&[4, 4])).unwrap();
+        let compiled = lower_tree(&program, &opt.tree, &[], &opt.report.scratch_scopes).unwrap();
+        let filters: Vec<&CFilter> = compiled
+            .streams
+            .iter()
+            .filter_map(|s| s.exact.as_ref())
+            .collect();
+        assert!(!filters.is_empty(), "no merged halo stream left to guard");
+        for f in filters {
+            assert!(f.divs.is_empty(), "{} divful disjuncts", f.divs.len());
+            assert!(
+                (1..=81).contains(&f.rows.len()),
+                "{} disjuncts",
+                f.rows.len()
+            );
+        }
     }
 }

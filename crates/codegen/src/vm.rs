@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::bytecode::{BodyOp, CAccess, CLevel, CompiledProgram, FiberMeta, Inst};
+use crate::bytecode::{BodyOp, CAccess, CFilter, CLevel, CompiledProgram, FiberMeta, Inst};
 use crate::error::{Error, Result};
 use crate::interp::{default_threads, from_atoms, into_atoms, ExecContext, ExecStats};
 use tilefuse_pir::{BinOp, Program, UnOp};
@@ -178,8 +178,12 @@ pub(crate) struct Machine<'p> {
     /// Per-stream index of the disjunct that last accepted a membership
     /// query. Consecutive lexicographic points almost always fall in the
     /// same disjunct, so trying it first makes `in_exact` amortized O(1)
-    /// even when the exact set has thousands of case-split branches.
+    /// in the number of disjuncts.
     mru: Vec<usize>,
+    /// `[params | sched | inst]`, the point form `BasicSet::contains`
+    /// takes: the parameters are written once, the registers copied in per
+    /// query, so a divful disjunct costs no allocation here either.
+    point: Vec<i64>,
 }
 
 impl<'p> Machine<'p> {
@@ -199,6 +203,12 @@ impl<'p> Machine<'p> {
             stats: RawStats::new(prog.stmt_names.len()),
             n_threads,
             mru: vec![0; prog.streams.len()],
+            point: prog
+                .param_values
+                .iter()
+                .copied()
+                .chain(std::iter::repeat_n(0, prog.n_sched + prog.max_inst))
+                .collect(),
         }
     }
 
@@ -497,7 +507,7 @@ impl<'p> Machine<'p> {
         // members share identical instance bounds, so any active member
         // makes the group's box live. This keeps the per-point cost at
         // O(groups), not O(streams) — crucial when a halo relation's case
-        // splits produce thousands of coverage-only stream variants.
+        // splits produce many coverage-only stream variants.
         let mut live = meta
             .groups
             .iter()
@@ -534,32 +544,38 @@ impl<'p> Machine<'p> {
         Ok((lo <= hi).then_some((lo, hi)))
     }
 
-    /// Tests the current point (params + sched dims + first `n_inst`
-    /// instance dims) against the stream's exact set, if any. Tries the
+    /// Tests the current point (sched dims + first `n_inst` instance dims)
+    /// against the stream's exact set, if any. Tries the
     /// most-recently-matching disjunct first (see [`Machine::mru`]).
     fn in_exact(&mut self, s: usize, n_inst: usize) -> Result<bool> {
-        let prog = self.prog;
-        let Some(exact) = &prog.streams[s].exact else {
+        let Some(exact) = &self.prog.streams[s].exact else {
             return Ok(true);
         };
-        let full: Vec<i64> = prog
-            .param_values
-            .iter()
-            .chain(&self.dims[..prog.n_sched + n_inst])
-            .copied()
-            .collect();
-        let basics = exact.basics();
-        let m = self.mru[s].min(basics.len().saturating_sub(1));
-        if basics[m].contains(&full)? {
+        let n = exact.rows.len() + exact.divs.len();
+        let m = self.mru[s];
+        if m < n && self.in_disjunct(exact, m, n_inst)? {
             return Ok(true);
         }
-        for (i, b) in basics.iter().enumerate() {
-            if i != m && b.contains(&full)? {
+        for i in 0..n {
+            if i != m && self.in_disjunct(exact, i, n_inst)? {
                 self.mru[s] = i;
                 return Ok(true);
             }
         }
         Ok(false)
+    }
+
+    /// Whether disjunct `i` of `exact` (compiled rows first, then the
+    /// divful sets) accepts the current point.
+    #[inline]
+    fn in_disjunct(&mut self, exact: &CFilter, i: usize, n_inst: usize) -> Result<bool> {
+        if let Some(d) = exact.rows.get(i) {
+            return Ok(d.contains(&self.dims));
+        }
+        let n_regs = self.prog.n_sched + n_inst;
+        let n_param = self.prog.param_values.len();
+        self.point[n_param..n_param + n_regs].copy_from_slice(&self.dims[..n_regs]);
+        Ok(exact.divs[i - exact.rows.len()].contains(&self.point[..n_param + n_regs])?)
     }
 
     /// Direct execution walk for a single stream (or group of streams with
@@ -609,22 +625,29 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    /// Resolves an access to a flat index: `Ok(Some)` in bounds, `Ok(None)`
-    /// out of bounds or wrong arity (with the evaluated coordinates for
-    /// error text / scratch side storage).
-    fn flat_idx(&self, acc: &CAccess, shape: &[i64]) -> (Option<usize>, Vec<i64>) {
-        let coords: Vec<i64> = acc.coords.iter().map(|c| c.eval(&self.dims)).collect();
-        if coords.len() != shape.len() {
-            return (None, coords);
+    /// Resolves an access to its flat row-major index; `None` when out of
+    /// bounds or of the wrong arity.
+    #[inline]
+    fn flat_idx(&self, acc: &CAccess, shape: &[i64]) -> Option<usize> {
+        if acc.coords.len() != shape.len() {
+            return None;
         }
         let mut idx = 0i64;
-        for (c, s) in coords.iter().zip(shape) {
-            if *c < 0 || c >= s {
-                return (None, coords);
+        for (c, &s) in acc.coords.iter().zip(shape) {
+            let c = c.eval(&self.dims);
+            if c < 0 || c >= s {
+                return None;
             }
             idx = idx * s + c;
         }
-        (Some(idx as usize), coords)
+        Some(idx as usize)
+    }
+
+    /// The evaluated coordinates of an access [`Machine::flat_idx`] could
+    /// not resolve: the key of the scratch side map and the error text.
+    #[cold]
+    fn coords(&self, acc: &CAccess) -> Vec<i64> {
+        acc.coords.iter().map(|c| c.eval(&self.dims)).collect()
     }
 
     /// Executes one statement instance: counters, loads (scratch first),
@@ -645,13 +668,13 @@ impl<'p> Machine<'p> {
                     loads += 1;
                     let a = &body.accesses[*acc];
                     let bm = &prog.bufs[a.buf];
-                    let (flat, coords) = self.flat_idx(a, &bm.shape);
+                    let flat = self.flat_idx(a, &bm.shape);
                     let mut value = 0.0f64;
                     let mut served = false;
                     if let Some(sc) = bm.scratch {
                         let hit = match flat {
                             Some(idx) => self.scratch[sc].get(idx),
-                            None => self.scratch[sc].get_side(&coords),
+                            None => self.scratch[sc].get_side(&self.coords(a)),
                         };
                         if let Some(v) = hit {
                             hits += 1;
@@ -663,7 +686,7 @@ impl<'p> Machine<'p> {
                         match flat {
                             Some(idx) => value = mem.load(a.buf, idx),
                             None => {
-                                err = Some(oob_error(&coords, &bm.shape));
+                                err = Some(oob_error(&self.coords(a), &bm.shape));
                             }
                         }
                     }
@@ -701,17 +724,20 @@ impl<'p> Machine<'p> {
         }
         let value = self.regs[body.result];
         let bm = &prog.bufs[body.store.buf];
-        let (flat, coords) = self.flat_idx(&body.store, &bm.shape);
+        let flat = self.flat_idx(&body.store, &bm.shape);
         self.stats.stores += 1;
         if let Some(sc) = bm.scratch {
             match flat {
                 Some(idx) => self.scratch[sc].put(idx, value),
-                None => self.scratch[sc].put_side(coords, value),
+                None => {
+                    let coords = self.coords(&body.store);
+                    self.scratch[sc].put_side(coords, value);
+                }
             }
         } else {
             match flat {
                 Some(idx) => mem.store(body.store.buf, idx, value),
-                None => return Err(oob_error(&coords, &bm.shape)),
+                None => return Err(oob_error(&self.coords(&body.store), &bm.shape)),
             }
         }
         Ok(())

@@ -132,12 +132,27 @@ fn fail(check: &'static str, detail: impl std::fmt::Display) -> Failure {
     }
 }
 
-/// Restores the presburger memo on drop, so an early `?` return cannot
-/// leave the process with caching disabled.
+/// Number of live [`MemoOff`] guards. The presburger memo switch is
+/// process-global and oracles run concurrently, so the switch is only ever
+/// flipped under this lock: off while the count is non-zero.
+static MEMO_OFF_DEPTH: std::sync::Mutex<usize> = std::sync::Mutex::new(0);
+
+fn memo_off_depth() -> std::sync::MutexGuard<'static, usize> {
+    // The count is valid at every step, so a poisoned lock is still usable.
+    MEMO_OFF_DEPTH
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Keeps the presburger memo off while alive; the last guard to drop turns
+/// it back on, so an early `?` return cannot leave the process with caching
+/// disabled and a finishing oracle cannot re-enable it under another one.
 struct MemoOff;
 
 impl MemoOff {
     fn new() -> Self {
+        let mut depth = memo_off_depth();
+        *depth += 1;
         pstats::set_memo_enabled(false);
         MemoOff
     }
@@ -145,7 +160,11 @@ impl MemoOff {
 
 impl Drop for MemoOff {
     fn drop(&mut self) {
-        pstats::set_memo_enabled(true);
+        let mut depth = memo_off_depth();
+        *depth -= 1;
+        if *depth == 0 {
+            pstats::set_memo_enabled(true);
+        }
     }
 }
 
@@ -725,8 +744,13 @@ mod tests {
 
     #[test]
     fn memo_toggle_is_restored_after_failure() {
-        // A spec that fails at build: the guard never engages, and a spec
-        // failing later must still leave the memo enabled.
+        // Sibling tests run oracles (and their guards) concurrently, so the
+        // global switch is asserted only where a guard of our own pins it,
+        // or under the guards' lock.
+        let outer = MemoOff::new();
+        assert!(!pstats::memo_enabled());
+        // A spec that fails at build never engages the guard; a passing one
+        // engages and drops it. Neither may re-enable the memo under `outer`.
         let bad = ProgramSpec {
             stages: vec![],
             ..chain_spec()
@@ -737,6 +761,10 @@ mod tests {
                 .check,
             "build"
         );
-        assert!(pstats::memo_enabled());
+        run_oracle(&chain_spec(), &OracleConfig::default()).unwrap();
+        assert!(!pstats::memo_enabled());
+        drop(outer);
+        let depth = memo_off_depth();
+        assert_eq!(pstats::memo_enabled(), *depth == 0);
     }
 }

@@ -271,6 +271,11 @@ pub(crate) fn clear() {
 mod tests {
     use super::*;
 
+    /// The tests below clear the process-global table and interner and
+    /// read the poisoning counter; each holds this lock so a sibling's
+    /// `clear()` cannot land between its own insert and lookup.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
     /// Returns the canonical shared allocation for `row`.
     fn intern_row(row: &[i64]) -> Row {
         intern_locked(&mut lock(&INTERN), row)
@@ -278,6 +283,7 @@ mod tests {
 
     #[test]
     fn interning_shares_allocations() {
+        let _serial = lock(&SERIAL);
         let a = intern_row(&[1, 2, 3]);
         let b = intern_row(&[1, 2, 3]);
         assert!(Arc::ptr_eq(&a.0, &b.0));
@@ -289,6 +295,7 @@ mod tests {
 
     #[test]
     fn lookup_miss_then_hit() {
+        let _serial = lock(&SERIAL);
         let key = CacheKey::IsEmpty(sys_key(&[vec![9, 9, 9, 9]], &[]));
         clear();
         assert!(lookup_bool(&key).is_none());
@@ -302,6 +309,7 @@ mod tests {
     /// insert repairs the entry.
     #[test]
     fn poisoned_entry_recovers_by_recompute() {
+        let _serial = lock(&SERIAL);
         let key = CacheKey::IsEmpty(sys_key(&[vec![7, 7, 7, 7, 7]], &[]));
         clear();
         let poisoned_before = stats::poisoned();
@@ -323,6 +331,7 @@ mod tests {
     /// never panics).
     #[test]
     fn typed_lookups_reject_all_wrong_variants() {
+        let _serial = lock(&SERIAL);
         let key = CacheKey::IsEmpty(sys_key(&[], &[vec![5, 5, 5]]));
         for wrong in [
             CacheVal::Bool(true),

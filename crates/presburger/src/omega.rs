@@ -8,8 +8,9 @@
 //! * [`feasible`] — exact integer satisfiability (all variables existential),
 //!   used for emptiness tests;
 //! * [`eliminate_col`] — exact projection of a single variable, returning a
-//!   *union* of systems (dark shadow + splinters when Fourier–Motzkin alone
-//!   would over-approximate). Eliminating a variable may introduce fresh
+//!   *union* of systems (dark shadow + splinters when the dark shadow is
+//!   smaller than the real one, i.e. when Fourier–Motzkin alone could
+//!   over-approximate). Eliminating a variable may introduce fresh
 //!   trailing columns (divisibility witnesses from non-unit equality
 //!   elimination); callers treat those as existentials.
 //!
@@ -444,7 +445,8 @@ fn eliminate_nonunit_equality(mut s: System, col: usize, idx: usize) -> Result<V
 }
 
 /// Fourier–Motzkin elimination of `col` with the Omega test's exactness
-/// repair (dark shadow + splinters) when coefficient pairs are non-unit.
+/// repair (dark shadow + splinters) when the dark shadow is strictly
+/// smaller than the real shadow.
 fn eliminate_fm(mut s: System, col: usize, for_projection: bool) -> Result<Vec<System>> {
     let mut lowers = Vec::new(); // rows with positive coefficient on col
     let mut uppers = Vec::new(); // rows with negative coefficient on col
@@ -466,13 +468,19 @@ fn eliminate_fm(mut s: System, col: usize, for_projection: bool) -> Result<Vec<S
         return Ok(vec![s]);
     }
 
-    let exact = lowers.iter().all(|r| r[col] == 1) || uppers.iter().all(|r| r[col] == -1);
-
-    // Real shadow (exact when `exact`): for each (lower, upper) pair
+    // Per (lower, upper) pair
     //   lower: a*x + e_L >= 0, upper: -b*x + e_U >= 0  (a, b > 0)
-    //   combine: b*e_L + a*e_U >= 0
+    // the real shadow has `b*e_L + a*e_U >= 0` and the dark shadow the same
+    // row with the slack `(a-1)(b-1)` subtracted. Dark shadow ⊆ integer
+    // projection ⊆ real shadow, and `normalize_ineq_row` keeps a row's
+    // integer points, so when every pair's two rows normalize to the same
+    // row — always for a unit coefficient; also e.g. `4t <= h <= 4t+3`,
+    // where both are variable-free and satisfied — the three sets coincide
+    // and the real shadow alone is the exact projection: no splinters.
     let mut shadow = s.clone();
     shadow.ineqs = rest.clone();
+    // (index into `shadow.ineqs`, dark row) where the two rows differ.
+    let mut darker: Vec<(usize, Vec<i64>)> = Vec::new();
     for lo in &lowers {
         let a = lo[col];
         for up in &uppers {
@@ -480,32 +488,33 @@ fn eliminate_fm(mut s: System, col: usize, for_projection: bool) -> Result<Vec<S
             let mut row = lin::row_combine(b, lo, a, up)?;
             row[col] = 0;
             lin::normalize_ineq_row(&mut row);
+            let slack = (a - 1) * (b - 1);
+            if slack != 0 {
+                // No gcd reduction before subtracting the slack: it is
+                // defined against the raw combination.
+                let mut d = lin::row_combine_raw(b, lo, a, up)?;
+                d[col] = 0;
+                let cc = d.len() - 1;
+                d[cc] = lin::add(d[cc], -slack)?;
+                lin::normalize_ineq_row(&mut d);
+                let satisfied = d[cc] >= 0 && d[..cc].iter().all(|&c| c == 0);
+                if !satisfied && d != row {
+                    darker.push((shadow.ineqs.len(), d));
+                }
+            }
             shadow.ineqs.push(row);
         }
     }
 
-    if exact {
+    if darker.is_empty() {
         shadow.drop_col(col);
         shadow.prune();
         return Ok(vec![shadow]);
     }
 
-    // Dark shadow: guaranteed subset — add the (a-1)(b-1) slack.
-    let mut dark = s.clone();
-    dark.ineqs = rest.clone();
-    for lo in &lowers {
-        let a = lo[col];
-        for up in &uppers {
-            let b = -up[col];
-            // No gcd reduction before subtracting the slack: the slack is
-            // defined against the raw combination.
-            let mut row = lin::row_combine_raw(b, lo, a, up)?;
-            row[col] = 0;
-            let cc = row.len() - 1;
-            row[cc] = lin::add(row[cc], -((a - 1) * (b - 1)))?;
-            lin::normalize_ineq_row(&mut row);
-            dark.ineqs.push(row);
-        }
+    let mut dark = shadow;
+    for (i, d) in darker {
+        dark.ineqs[i] = d;
     }
     dark.drop_col(col);
     dark.prune();
@@ -549,6 +558,19 @@ mod tests {
             eqs: eqs.iter().map(|r| r.to_vec()).collect(),
             ineqs: ineqs.iter().map(|r| r.to_vec()).collect(),
         }
+    }
+
+    /// Whether some system of the union `rs` holds with column 0 fixed to
+    /// `y`; trailing witness columns are existential.
+    fn admits(rs: &[System], y: i64) -> bool {
+        rs.iter().any(|r| {
+            let mut fixed = r.clone();
+            let mut eq = vec![0i64; fixed.cols()];
+            eq[0] = 1;
+            *eq.last_mut().unwrap() = -y;
+            fixed.eqs.push(eq);
+            feasible(&fixed).unwrap()
+        })
     }
 
     #[test]
@@ -663,18 +685,43 @@ mod tests {
         assert!(!rs.is_empty());
         for y in -3..16 {
             let expect = (0..=4).any(|x| 3 * x <= y && y <= 3 * x + 1);
-            let got = rs.iter().any(|r| {
-                // Some result systems may have witness variables appended;
-                // check satisfiability with y fixed.
-                let mut fixed = r.clone();
-                // y is now column 0.
-                let mut eq = vec![0i64; fixed.cols()];
-                eq[0] = 1;
-                *eq.last_mut().unwrap() = -y;
-                fixed.eqs.push(eq);
-                feasible(&fixed).unwrap()
-            });
-            assert_eq!(got, expect, "y = {y}");
+            // y is now column 0.
+            assert_eq!(admits(&rs, y), expect, "y = {y}");
+        }
+    }
+
+    #[test]
+    fn equal_shadows_need_no_splinters() {
+        // { (t, h, N) : 4t <= h <= 4t + 3, 0 <= h < N }: every h lies in
+        // some tile, so the dark-shadow row (3 >= 0) says what the
+        // real-shadow row (12 >= 0) says and the projection is one
+        // div-free system.
+        let s = sys(
+            3,
+            &[],
+            &[
+                &[-4, 1, 0, 0],  // h - 4t >= 0
+                &[4, -1, 0, 3],  // 4t + 3 - h >= 0
+                &[0, 1, 0, 0],   // h >= 0
+                &[0, -1, 1, -1], // N - 1 - h >= 0
+            ],
+        );
+        let rs = eliminate_col(&s, 0).unwrap();
+        assert_eq!(rs.len(), 1, "{rs:?}");
+        assert_eq!(rs[0].n_vars, 2, "a witness column appeared: {rs:?}");
+        assert!(rs[0].eqs.is_empty());
+        for h in -2..8 {
+            for n in 0..8 {
+                assert_eq!(rs[0].satisfied_by(&[h, n]), 0 <= h && h < n, "h={h} N={n}");
+            }
+        }
+        // 4t <= h <= 4t + 2 skips h = 3 (mod 4): the dark row reads
+        // -1 >= 0, so this one must still splinter.
+        let s = sys(2, &[], &[&[-4, 1, 0], &[4, -1, 2]]);
+        let rs = eliminate_col(&s, 0).unwrap();
+        assert!(rs.len() > 1, "{rs:?}");
+        for h in -9i64..9 {
+            assert_eq!(admits(&rs, h), h.rem_euclid(4) != 3, "h = {h}");
         }
     }
 
@@ -690,15 +737,7 @@ mod tests {
         let rs = eliminate_col(&s, 0).unwrap();
         for y in -2..12 {
             let expect = (0..=9).contains(&y) && y % 3 == 0;
-            let got = rs.iter().any(|r| {
-                let mut fixed = r.clone();
-                let mut eq = vec![0i64; fixed.cols()];
-                eq[0] = 1;
-                *eq.last_mut().unwrap() = -y;
-                fixed.eqs.push(eq);
-                feasible(&fixed).unwrap()
-            });
-            assert_eq!(got, expect, "y = {y}");
+            assert_eq!(admits(&rs, y), expect, "y = {y}");
         }
     }
 
@@ -718,13 +757,8 @@ mod tests {
         assert_eq!(r.eqs.iter().filter(|row| row[q_col] != 0).count(), 1);
         // Semantics: y in {0, 3, 6, 9} (y = 3x and y >= x forces x >= 0).
         for y in -1..11 {
-            let mut probe = r.clone();
-            let mut eq = vec![0i64; probe.cols()];
-            eq[0] = 1;
-            *eq.last_mut().unwrap() = -y;
-            probe.eqs.push(eq);
             let expect = (0..=9).contains(&y) && y % 3 == 0;
-            assert_eq!(feasible(&probe).unwrap(), expect, "y = {y}");
+            assert_eq!(admits(&rs, y), expect, "y = {y}");
         }
     }
 

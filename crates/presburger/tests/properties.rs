@@ -99,25 +99,95 @@ fn emptiness_matches_brute_force() {
     }
 }
 
+/// A random bounded system over `n` dims named `x0..`: a box at most 8 wide
+/// per dim, up to three rows with coefficients in `-4..=4`, and in half the
+/// cases a strip `a*xt <= xh <= a*xt + r` — the shape tiling produces,
+/// whose projection along `xt` is exact without splinters iff `r >= a - 1`.
+/// Returns the set and its box.
+fn random_system(rng: &mut Rng, n: usize) -> (BasicSet, Vec<(i64, i64)>) {
+    let names: Vec<String> = (0..n).map(|d| format!("x{d}")).collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let sp = Space::set(&[], Tuple::new(Some("S"), &names));
+    let mut b = BasicSet::universe(sp.clone());
+    let row = |coeffs: &[i64], k: i64| {
+        let e = coeffs
+            .iter()
+            .enumerate()
+            .fold(AffExpr::zero(&sp), |e, (d, &c)| e.with_dim_coeff(d, c));
+        e.with_constant(k).ge_zero()
+    };
+    let unit = |d: usize, c: i64| {
+        let mut v = vec![0; n];
+        v[d] = c;
+        v
+    };
+    let mut bounds = Vec::new();
+    for d in 0..n {
+        let lo = rng.range(-4, 1);
+        let hi = lo + rng.range(0, 8);
+        b.add_constraint(&row(&unit(d, 1), -lo)).unwrap();
+        b.add_constraint(&row(&unit(d, -1), hi)).unwrap();
+        bounds.push((lo, hi));
+    }
+    for _ in 0..rng.range(0, 4) {
+        let coeffs: Vec<i64> = (0..n).map(|_| rng.range(-4, 5)).collect();
+        b.add_constraint(&row(&coeffs, rng.range(-8, 9))).unwrap();
+    }
+    if rng.range(0, 2) == 0 {
+        let t = rng.range(0, n as i64) as usize;
+        let h = (t + 1) % n;
+        let a = rng.range(2, 5);
+        let mut lower = unit(h, 1);
+        lower[t] = -a;
+        let mut upper = unit(h, -1);
+        upper[t] = a;
+        b.add_constraint(&row(&lower, 0)).unwrap();
+        b.add_constraint(&row(&upper, rng.range(0, a + 1))).unwrap();
+    }
+    (b, bounds)
+}
+
 #[test]
 fn projection_is_exact() {
-    let mut rng = Rng::new(0x9a0);
-    for _ in 0..CASES {
-        let (ilo, ihi) = (rng.range(-5, 5), rng.range(-5, 5));
-        let (jlo, jhi) = (rng.range(-5, 5), rng.range(-5, 5));
-        let extra = rng.extras(2, 3, 6);
-        let b = random_set(ilo, ihi, jlo, jhi, &extra);
-        let brute = brute_points(&b, -8, 8);
-        let projected = Set::from_basic(b).project_out_dims(1, 1).unwrap();
-        for i in -8..=8 {
-            let expect = brute.iter().any(|&(bi, _)| bi == i);
-            assert_eq!(
-                projected.contains(&[i]).unwrap(),
-                expect,
-                "i = {i} projected = {projected}"
-            );
+    // Same cases with the memo on and off: the flag is process-global, but
+    // it only decides whether work is cached, never a result.
+    for memo in [true, false] {
+        tilefuse_presburger::stats::set_memo_enabled(memo);
+        let mut rng = Rng::new(0x9a0);
+        for _ in 0..CASES {
+            let n = rng.range(2, 4) as usize;
+            let (b, bounds) = random_system(&mut rng, n);
+            let col = rng.range(0, n as i64) as usize;
+            let projected = Set::from_basic(b.clone()).project_out_dims(col, 1).unwrap();
+            // Every point of the kept dims, one step beyond the box.
+            let kept: Vec<usize> = (0..n).filter(|&d| d != col).collect();
+            let mut p: Vec<i64> = kept.iter().map(|&d| bounds[d].0 - 1).collect();
+            'points: loop {
+                let mut full = vec![0; n];
+                for (&d, &v) in kept.iter().zip(&p) {
+                    full[d] = v;
+                }
+                let expect = (bounds[col].0..=bounds[col].1).any(|v| {
+                    full[col] = v;
+                    b.contains(&full).unwrap()
+                });
+                assert_eq!(
+                    projected.contains(&p).unwrap(),
+                    expect,
+                    "memo {memo}, {b} without x{col} at {p:?}: {projected}"
+                );
+                for (k, &d) in kept.iter().enumerate() {
+                    if p[k] <= bounds[d].1 {
+                        p[k] += 1;
+                        continue 'points;
+                    }
+                    p[k] = bounds[d].0 - 1;
+                }
+                break;
+            }
         }
     }
+    tilefuse_presburger::stats::set_memo_enabled(true);
 }
 
 #[test]

@@ -286,12 +286,16 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes in one step. It ends
+                    // at an ASCII `"` or `\` (or the end of the input),
+                    // never inside a multi-byte scalar.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .expect("the input is a &str cut at ASCII bytes");
+                    out.push_str(run);
                 }
             }
         }
@@ -383,6 +387,21 @@ mod tests {
         // Whole numbers render without a decimal point.
         assert!(rendered.contains("[1,-2.5,1000]"), "{rendered}");
         assert_eq!(Value::Num(f64::NAN).render(), "null");
+    }
+
+    #[test]
+    fn long_strings_with_multibyte_scalars_parse_in_one_pass() {
+        // 1 MB of string: re-validating the rest of the input per character
+        // (quadratic) takes minutes here, one pass takes milliseconds.
+        let unit = "plain é→𝄞 \\n\\\" ";
+        let raw_unit = "plain é→𝄞 \n\" ";
+        let reps = (1 << 20) / unit.len() + 1;
+        let doc = format!("[\"{}\", \"tail\"]", unit.repeat(reps));
+        assert!(doc.len() > 1 << 20);
+        let v = parse(&doc).unwrap();
+        let arr = v.as_arr().unwrap();
+        assert_eq!(arr[0].as_str(), Some(raw_unit.repeat(reps).as_str()));
+        assert_eq!(arr[1].as_str(), Some("tail"));
     }
 
     #[test]

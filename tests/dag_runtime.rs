@@ -232,8 +232,8 @@ fn pinned_prefix_crosses_every_instruction_kind() {
     check_tree(&p, &fused, &none, &[1, 2, 4], "two_stage maxfuse");
 
     // Post-tiling fusion: the prefix [1, tile] pins a coincident merged
-    // loop whose producer guard is a multi-group union box, with the
-    // fused producer in tile-local scratch (the last tile is partial).
+    // loop, with the fused producer in tile-local scratch (the last tile
+    // is partial).
     let opt = optimize(&p, &Options::cpu(&[4])).expect("optimize");
     let scopes = &opt.report.scratch_scopes;
     let listing = disasm(&lower_tree(&p, &opt.tree, &[], scopes).expect("lower"));
@@ -241,16 +241,37 @@ fn pinned_prefix_crosses_every_instruction_kind() {
     assert_eq!(dag.prefix_len, 2, "{listing}");
     assert_eq!(dag.n_tasks(), 3, "{listing}");
     assert_inst(&listing, "loop_open L0", 1, "optimized");
-    assert!(
-        listing.contains("par") && listing.contains("min["),
-        "{listing}"
-    );
+    assert!(listing.contains("par"), "{listing}");
     let (_, stats) = execute_tree(&p, &opt.tree, &[], scopes).expect("interp");
     assert!(
         stats.scratch_hits > 0,
         "fused producer is read from scratch"
     );
     check_tree(&p, &opt.tree, scopes, &[1, 2, 4], "two_stage optimized");
+
+    // Guards that are multi-group union boxes: the halo case splits of
+    // Harris's fused stages stay above the lowering's merge threshold, so
+    // the prefix [0, ti, tj] pins two coincident loops whose guards are
+    // `min[..] max[..]` groups, over union-box point loops with an exact
+    // leaf filter.
+    let harris = tilefuse::workloads::polymage::harris(16, 16)
+        .expect("workload")
+        .program;
+    let opt = optimize(&harris, &Options::cpu(&[4, 4])).expect("optimize");
+    let scopes = &opt.report.scratch_scopes;
+    let listing = disasm(&lower_tree(&harris, &opt.tree, &[], scopes).expect("lower"));
+    let dag = build_tile_dag(&harris, &opt.tree, &[], scopes).expect("dag");
+    assert_eq!(dag.prefix_len, 3, "{listing}");
+    for dim in [1, 2] {
+        let open = format!("d{dim} par");
+        assert!(
+            listing
+                .lines()
+                .any(|l| l.contains("loop_open") && l.contains(&open) && l.contains("min[")),
+            "no union-box guard on the par loop d{dim} in\n{listing}"
+        );
+    }
+    check_tree(&harris, &opt.tree, scopes, &[1, 2], "harris union-box");
 
     // A tile larger than the extent: one task, every pinned loop at 0.
     let w = tilefuse::workloads::wavefront::upwind(12, 12).expect("workload");
