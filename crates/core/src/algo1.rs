@@ -100,7 +100,7 @@ pub struct Options {
     /// [`FaultInjection`]).
     pub fault: FaultInjection,
     /// Resource budget for the run (wall-clock deadline, Omega op/branch
-    /// budget, disjunct and interned-row caps). Default: unlimited. On
+    /// budget, disjunct cap). Default: unlimited. On
     /// exhaustion `optimize` degrades along its ladder instead of failing —
     /// see [`crate::Report::degradation`].
     pub budget: tilefuse_trace::Budget,

@@ -114,7 +114,6 @@ pub fn random_budget(rng: &mut Rng) -> tilefuse_trace::Budget {
         max_omega_ops: *rng.pick(&[None, Some(0), Some(1), Some(100), Some(10_000)]),
         max_branches_per_call: *rng.pick(&[None, Some(1), Some(8), Some(64)]),
         max_disjuncts: *rng.pick(&[None, Some(1), Some(2), Some(6)]),
-        max_interned_rows: *rng.pick(&[None, Some(256), Some(4096)]),
     }
 }
 

@@ -17,7 +17,7 @@
 //! * the paper's shared-intermediate rules, re-verified independently of
 //!   the optimizer's own bookkeeping.
 //!
-//! Failures [shrink](shrink) to a minimal spec with the same failing
+//! Failures [shrink] to a minimal spec with the same failing
 //! check and pretty-print via [`describe`]. The `tilefuse-fuzz` binary
 //! wraps the loop with seed/iteration/time-budget flags; fixed-seed
 //! corpus runs live in `tests/corpus.rs` and CI.

@@ -21,7 +21,7 @@
 //!    Algorithm 3's Rule 2, which is what catches the deliberately
 //!    injected `FaultInjection::SkipSharedSliceCheck` bug);
 //! 7. any of the above differing when the presburger memo layers
-//!    (structural cache, inline emptiness flags, interval pre-check) are
+//!    (emptiness table, inline emptiness flags, interval pre-check) are
 //!    disabled — memoization must be semantically invisible.
 //!
 //! The two execution-runtime checks keep the numbers that the docs, CI

@@ -203,7 +203,6 @@ fn budget_to_value(b: &Budget) -> Value {
         b.max_branches_per_call.map(|n| n as u64),
     );
     put("max_disjuncts", b.max_disjuncts.map(|n| n as u64));
-    put("max_interned_rows", b.max_interned_rows.map(|n| n as u64));
     Value::Obj(o)
 }
 

@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::aff::{Constraint, ConstraintKind};
-use crate::cache::{self, CacheKey, CacheVal};
+use crate::cache;
 use crate::error::{Error, Result};
 use crate::lin;
 use crate::omega::{self, System};
@@ -106,7 +106,7 @@ impl BasicSet {
     }
 
     /// Total columns including the trailing constant.
-    fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.n_param() + self.n_dim() + self.n_div + 1
     }
 
@@ -215,9 +215,9 @@ impl BasicSet {
     /// Treats parameters as existential: the set is empty iff it contains no
     /// point for *any* parameter values.
     ///
-    /// Results are memoized on the constraint rows (see [`crate::cache`]);
-    /// feasibility is existential over every column, so the memo key is
-    /// independent of the space.
+    /// Results are memoized in a process-global table keyed on the
+    /// constraint rows; feasibility is existential over every column, so
+    /// the memo key is independent of the space.
     ///
     /// # Errors
     /// Returns an error on arithmetic overflow.
@@ -264,15 +264,15 @@ impl BasicSet {
         // tightest), so Omega then runs on the cheaper canonical system.
         // One hit/miss is recorded per call: a hit on either level is a
         // hit. Both keys are stored so the verbatim fast path warms too.
-        let raw_key = CacheKey::IsEmpty(cache::rows_key(self));
-        let mut hit = cache::probe_bool(&raw_key);
+        let raw_key = cache::rows_key(self);
+        let mut hit = cache::probe(&raw_key);
         let mut canon_key = None;
         if hit.is_none() {
             let mut canon = self.clone();
             canon.simplify();
-            let ck = CacheKey::IsEmpty(cache::rows_key(&canon));
+            let ck = cache::rows_key(&canon);
             if ck != raw_key {
-                hit = cache::probe_bool(&ck);
+                hit = cache::probe(&ck);
                 canon_key = Some(ck);
             }
             if hit.is_none() {
@@ -290,10 +290,10 @@ impl BasicSet {
                     return Ok(false);
                 }
                 let v = sat == omega::Sat::Infeasible;
-                if let Some(ck) = &canon_key {
-                    cache::insert(ck.clone(), CacheVal::Bool(v));
+                if let Some(ck) = canon_key {
+                    cache::insert(ck, v);
                 }
-                cache::insert(raw_key.clone(), CacheVal::Bool(v));
+                cache::insert(raw_key, v);
                 crate::stats::record(crate::stats::Op::IsEmpty, false);
                 self.emptiness.store(
                     if v {
@@ -307,7 +307,7 @@ impl BasicSet {
             }
             // Canonical hit: back-propagate to the raw key so this exact
             // system hits on the first probe next time.
-            cache::insert(raw_key, CacheVal::Bool(hit.unwrap()));
+            cache::insert(raw_key, hit.unwrap());
         }
         crate::stats::record(crate::stats::Op::IsEmpty, true);
         let v = hit.unwrap();
@@ -493,10 +493,7 @@ impl BasicSet {
         if count == 0 {
             return Ok(vec![self.clone()]);
         }
-        let key = CacheKey::ProjectDims(cache::bset_key(self), first, count);
-        if let Some(v) = cache::lookup_bsets(&key) {
-            return Ok(v);
-        }
+        crate::stats::record(crate::stats::Op::Project, false);
         let _timer = crate::stats::op_timer(crate::stats::Op::Project);
         let np = self.n_param();
         let new_space = drop_space_dims(&self.space, first, count);
@@ -516,12 +513,10 @@ impl BasicSet {
             }
             systems = next;
         }
-        let result: Vec<BasicSet> = systems
+        Ok(systems
             .into_iter()
             .map(|(sys, n_div)| BasicSet::from_system(new_space.clone(), n_div, sys))
-            .collect();
-        cache::insert(key, CacheVal::BSets(result.clone()));
-        Ok(result)
+            .collect())
     }
 
     /// Removes existential columns where this is *cheaply exact* — a div

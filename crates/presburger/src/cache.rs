@@ -1,359 +1,184 @@
-//! A structural memo table for the expensive presburger operations.
+//! The emptiness memo: `is_empty` answers keyed on constraint rows.
 //!
-//! Operations like emptiness (the Omega test) and exact projection are
-//! recomputed with identical inputs thousands of times during fusion
-//! legality search and footprint analysis. This module interns
-//! constraint rows (so equal rows share one allocation and hash fast)
-//! and keys complete operations — `is_empty`, `project_out_dims`,
-//! `Set::intersect`, `Map::apply`, `Map::reverse` — on the *exact*
-//! structure of their operands: constraint rows, div counts and spaces.
-//! Exact keys mean a hit is always semantically identical to a cold
-//! call; there is no probabilistic hashing involved.
+//! Emptiness (the Omega test) is asked of identical systems thousands of
+//! times during fusion legality search and footprint analysis, and it is
+//! the one operation whose memo pays for its keys: every other set
+//! operation bottoms out in it, so `Set::intersect`, `Map::apply`,
+//! `Map::reverse` and `BasicSet::project_out_dims` simply compute. A key
+//! is the *exact* content of a system — every number of every row, the
+//! row length and the eq/ineq boundary — so a hit is always semantically
+//! identical to a cold call; there is no probabilistic hashing involved.
 //!
-//! The table is process-global behind a mutex: operations take the lock
-//! only to look up or store, never while computing. When the table
-//! exceeds its cap it is cleared wholesale — simple, and the workloads
+//! The table is process-global behind one mutex: `is_empty` takes the
+//! lock only to look up or store, never while computing. When the table
+//! reaches its cap it is cleared wholesale — simple, and the workloads
 //! re-warm in one pass. Hit/miss counts go to [`crate::stats`].
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
+use std::collections::HashMap;
+use std::sync::{LazyLock, Mutex, MutexGuard};
 
 use crate::bset::BasicSet;
-use crate::map::Map;
-use crate::set::Set;
-use crate::space::Space;
-use crate::stats::{self, Op};
+use crate::stats;
 
-/// An interned constraint row. Interning canonicalizes content-equal
-/// rows to one shared allocation, so equality and hashing compare the
-/// *pointer* — O(1) per row instead of O(row length) — without changing
-/// which keys collide.
-#[derive(Debug, Clone)]
-pub(crate) struct Row(Arc<[i64]>);
-
-impl PartialEq for Row {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-impl Eq for Row {}
-
-impl Hash for Row {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (Arc::as_ptr(&self.0) as *const i64 as usize).hash(state);
-    }
-}
-
-/// The constraint rows of one basic set, interned.
+/// Structural identity of a constraint system, independent of its space
+/// (feasibility is existential over every column): all rows' numbers in
+/// one allocation, equalities first. The row length and the number of
+/// equalities are part of the key, so two systems whose numbers merely
+/// concatenate equally never collide.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub(crate) struct SysKey {
-    eqs: Vec<Row>,
-    ineqs: Vec<Row>,
+    cols: usize,
+    n_eqs: usize,
+    rows: Box<[i64]>,
 }
 
-/// Full structural identity of a [`BasicSet`], including its space.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub(crate) struct BKey {
-    space: Space,
-    n_div: usize,
-    sys: SysKey,
-}
-
-/// Full structural identity of a [`Set`] (or a [`Map`] via its wrapped
-/// set): space plus each disjunct's rows and div count, in order.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub(crate) struct SetKey {
-    space: Space,
-    disjuncts: Vec<(usize, SysKey)>,
-}
-
-/// One memoized operation applied to specific operands.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub(crate) enum CacheKey {
-    /// Feasibility of a raw constraint system: space-independent.
-    IsEmpty(SysKey),
-    ProjectDims(BKey, usize, usize),
-    Intersect(SetKey, SetKey),
-    Apply(SetKey, SetKey),
-    Reverse(SetKey),
-}
-
-impl CacheKey {
-    fn op(&self) -> Op {
-        match self {
-            CacheKey::IsEmpty(_) => Op::IsEmpty,
-            CacheKey::ProjectDims(..) => Op::Project,
-            CacheKey::Intersect(..) => Op::Intersect,
-            CacheKey::Apply(..) => Op::Apply,
-            CacheKey::Reverse(_) => Op::Reverse,
-        }
+fn sys_key(cols: usize, eqs: &[Vec<i64>], ineqs: &[Vec<i64>]) -> SysKey {
+    let mut rows = Vec::with_capacity((eqs.len() + ineqs.len()) * cols);
+    for r in eqs.iter().chain(ineqs) {
+        debug_assert_eq!(r.len(), cols);
+        rows.extend_from_slice(r);
+    }
+    SysKey {
+        cols,
+        n_eqs: eqs.len(),
+        rows: rows.into_boxed_slice(),
     }
 }
 
-/// A memoized result.
-#[derive(Clone)]
-pub(crate) enum CacheVal {
-    Bool(bool),
-    BSets(Vec<BasicSet>),
-    Set(Set),
-    Map(Map),
+/// Keys the raw constraint rows of a basic set.
+pub(crate) fn rows_key(b: &BasicSet) -> SysKey {
+    sys_key(b.cols(), b.eq_rows(), b.ineq_rows())
 }
 
-/// Cleared wholesale when exceeded; large enough that the repo's
+/// Cleared wholesale when reached; large enough that the repo's
 /// workloads never cycle it, small enough to bound memory.
 const CACHE_CAP: usize = 1 << 16;
 
-static INTERN: LazyLock<Mutex<HashSet<Arc<[i64]>>>> = LazyLock::new(|| Mutex::new(HashSet::new()));
-static TABLE: LazyLock<Mutex<HashMap<CacheKey, CacheVal>>> =
-    LazyLock::new(|| Mutex::new(HashMap::new()));
+static TABLE: LazyLock<Mutex<HashMap<SysKey, bool>>> = LazyLock::new(|| Mutex::new(HashMap::new()));
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+fn lock() -> MutexGuard<'static, HashMap<SysKey, bool>> {
+    TABLE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn intern_locked(g: &mut HashSet<Arc<[i64]>>, row: &[i64]) -> Row {
-    if let Some(r) = g.get(row) {
-        return Row(r.clone());
-    }
-    let arc: Arc<[i64]> = Arc::from(row);
-    g.insert(arc.clone());
-    Row(arc)
-}
-
-fn sys_key(eqs: &[Vec<i64>], ineqs: &[Vec<i64>]) -> SysKey {
-    // Governor memory bound: past the interned-row cap the interner (and
-    // the memo table, whose keys hold now-orphaned interned rows that can
-    // never pointer-hit again) is cleared wholesale. A cost, not an error:
-    // answers are unaffected, only recomputed.
-    let cap = tilefuse_trace::governor::intern_cap();
-    if cap != usize::MAX && lock(&INTERN).len() >= cap {
-        // Never hold both locks at once (matches every other path here).
-        lock(&INTERN).clear();
-        lock(&TABLE).clear();
-    }
-    // One lock acquisition for the whole system, not one per row.
-    let mut g = lock(&INTERN);
-    let eqs = eqs.iter().map(|r| intern_locked(&mut g, r)).collect();
-    let ineqs = ineqs.iter().map(|r| intern_locked(&mut g, r)).collect();
-    SysKey { eqs, ineqs }
-}
-
-/// Keys the raw constraint rows of a basic set (space-independent).
-pub(crate) fn rows_key(b: &BasicSet) -> SysKey {
-    sys_key(b.eq_rows(), b.ineq_rows())
-}
-
-/// Keys a basic set including its space.
-pub(crate) fn bset_key(b: &BasicSet) -> BKey {
-    BKey {
-        space: b.space().clone(),
-        n_div: b.n_div(),
-        sys: rows_key(b),
-    }
-}
-
-/// Keys a set including its space and disjunct order.
-pub(crate) fn set_key(s: &Set) -> SetKey {
-    SetKey {
-        space: s.space().clone(),
-        disjuncts: s
-            .basics()
-            .iter()
-            .map(|b| (b.n_div(), rows_key(b)))
-            .collect(),
-    }
-}
-
-/// Silently probes the table for `key`, extracting the expected value
-/// variant. An entry of the *wrong* variant is poisoned — it can only
-/// arise from a bug pairing keys with values — and is handled by evicting
-/// it, counting it ([`stats::poisoned`]) and reporting a miss so the
-/// caller recomputes; it is never returned and never panics. Records no
-/// hit/miss; use the `lookup_*` wrappers (or [`stats::record`] directly
-/// for multi-probe flows) for counted lookups.
-fn probe<T>(key: &CacheKey, extract: impl FnOnce(&CacheVal) -> Option<T>) -> Option<T> {
+/// Looks `key` up. Always `None` (without touching the table) when
+/// memoization is disabled via [`stats::set_memo_enabled`]. Records no
+/// hit/miss: `is_empty` probes two keys per call and counts the call.
+pub(crate) fn probe(key: &SysKey) -> Option<bool> {
     if !stats::memo_enabled() {
         return None;
     }
-    let mut g = lock(&TABLE);
-    let val = g.get(key)?;
-    match extract(val) {
-        Some(t) => Some(t),
-        None => {
-            g.remove(key);
-            stats::record_poisoned();
-            None
-        }
-    }
+    lock().get(key).copied()
 }
 
-/// Silent typed probe for a memoized boolean (no hit/miss recorded).
-pub(crate) fn probe_bool(key: &CacheKey) -> Option<bool> {
-    probe(key, |v| match v {
-        CacheVal::Bool(b) => Some(*b),
-        _ => None,
-    })
-}
-
-/// Looks up a memoized boolean, recording a hit or miss. Always a miss
-/// (without touching the table) when memoization is disabled via
-/// [`stats::set_memo_enabled`]. A wrong-variant (poisoned) entry is
-/// evicted and reported as a miss. (`is_empty` itself uses [`probe_bool`]
-/// directly — its two-level key records one hit/miss per call, not per
-/// probe — so outside tests this wrapper currently has no callers.)
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn lookup_bool(key: &CacheKey) -> Option<bool> {
-    let hit = probe_bool(key);
-    stats::record(key.op(), hit.is_some());
-    hit
-}
-
-/// Looks up a memoized basic-set union, recording a hit or miss (see
-/// [`lookup_bool`] for disabled-memo and poisoned-entry behavior).
-pub(crate) fn lookup_bsets(key: &CacheKey) -> Option<Vec<BasicSet>> {
-    let hit = probe(key, |v| match v {
-        CacheVal::BSets(b) => Some(b.clone()),
-        _ => None,
-    });
-    stats::record(key.op(), hit.is_some());
-    hit
-}
-
-/// Looks up a memoized set, recording a hit or miss (see [`lookup_bool`]
-/// for disabled-memo and poisoned-entry behavior).
-pub(crate) fn lookup_set(key: &CacheKey) -> Option<Set> {
-    let hit = probe(key, |v| match v {
-        CacheVal::Set(s) => Some(s.clone()),
-        _ => None,
-    });
-    stats::record(key.op(), hit.is_some());
-    hit
-}
-
-/// Looks up a memoized map, recording a hit or miss (see [`lookup_bool`]
-/// for disabled-memo and poisoned-entry behavior).
-pub(crate) fn lookup_map(key: &CacheKey) -> Option<Map> {
-    let hit = probe(key, |v| match v {
-        CacheVal::Map(m) => Some(m.clone()),
-        _ => None,
-    });
-    stats::record(key.op(), hit.is_some());
-    hit
-}
-
-/// Stores a computed result, clearing the table first if it is full.
+/// Stores a computed answer, clearing the table first if it is full.
 /// A no-op when memoization is disabled.
-pub(crate) fn insert(key: CacheKey, val: CacheVal) {
+pub(crate) fn insert(key: SysKey, empty: bool) {
     if !stats::memo_enabled() {
         return;
     }
-    let mut g = lock(&TABLE);
+    let mut g = lock();
     if g.len() >= CACHE_CAP {
         g.clear();
     }
-    g.insert(key, val);
+    g.insert(key, empty);
 }
 
 /// Number of memoized entries.
 pub(crate) fn len() -> usize {
-    lock(&TABLE).len()
+    lock().len()
 }
 
-/// Drops every memoized entry and interned row.
+/// Drops every memoized entry.
 pub(crate) fn clear() {
-    lock(&TABLE).clear();
-    lock(&INTERN).clear();
+    lock().clear();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::space::{Space, Tuple};
 
-    /// The tests below clear the process-global table and interner and
-    /// read the poisoning counter; each holds this lock so a sibling's
-    /// `clear()` cannot land between its own insert and lookup.
+    /// The tests below clear (or overflow) the process-global table; each
+    /// holds this lock so a sibling's clear cannot land between its own
+    /// insert and probe.
     static SERIAL: Mutex<()> = Mutex::new(());
 
-    /// Returns the canonical shared allocation for `row`.
-    fn intern_row(row: &[i64]) -> Row {
-        intern_locked(&mut lock(&INTERN), row)
+    fn serial() -> MutexGuard<'static, ()> {
+        SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[test]
-    fn interning_shares_allocations() {
-        let _serial = lock(&SERIAL);
-        let a = intern_row(&[1, 2, 3]);
-        let b = intern_row(&[1, 2, 3]);
-        assert!(Arc::ptr_eq(&a.0, &b.0));
-        assert_eq!(a, b, "pointer equality must mirror content equality");
-        let c = intern_row(&[1, 2, 4]);
-        assert!(!Arc::ptr_eq(&a.0, &c.0));
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn lookup_miss_then_hit() {
-        let _serial = lock(&SERIAL);
-        let key = CacheKey::IsEmpty(sys_key(&[vec![9, 9, 9, 9]], &[]));
+    fn probe_misses_then_hits() {
+        let _serial = serial();
+        let key = sys_key(4, &[vec![9, 9, 9, 9]], &[]);
         clear();
-        assert!(lookup_bool(&key).is_none());
-        insert(key.clone(), CacheVal::Bool(true));
-        assert_eq!(lookup_bool(&key), Some(true));
+        assert_eq!(probe(&key), None);
+        insert(key.clone(), true);
+        assert_eq!(probe(&key), Some(true));
     }
 
-    /// A wrong-variant entry under a key (formerly a panic in consumers
-    /// that pattern-matched the variant) is evicted and recomputed: the
-    /// typed lookup reports a miss, counts the poisoning, and the next
-    /// insert repairs the entry.
+    /// Equal concatenated numbers, different structure: the eq/ineq
+    /// boundary and the row length each separate keys, and the answers
+    /// stored under them stay independent.
     #[test]
-    fn poisoned_entry_recovers_by_recompute() {
-        let _serial = lock(&SERIAL);
-        let key = CacheKey::IsEmpty(sys_key(&[vec![7, 7, 7, 7, 7]], &[]));
+    fn key_separates_boundary_and_row_length() {
+        let _serial = serial();
+        // Over [x | 1]: `x = 0 and x >= 0`, `x >= 0 and x >= 0`, and the
+        // same four numbers as one row over [x y z | 1].
+        let eq_then_ineq = sys_key(2, &[vec![1, 0]], &[vec![1, 0]]);
+        let two_ineqs = sys_key(2, &[], &[vec![1, 0], vec![1, 0]]);
+        let one_long_row = sys_key(4, &[], &[vec![1, 0, 1, 0]]);
+        assert_eq!(eq_then_ineq.rows, two_ineqs.rows);
+        assert_eq!(eq_then_ineq.rows, one_long_row.rows);
+        assert!(eq_then_ineq != two_ineqs);
+        assert!(two_ineqs != one_long_row);
         clear();
-        let poisoned_before = stats::poisoned();
-        // Poison: an is_empty key holding a Set instead of a Bool.
-        let junk = Set::universe(Space::set(&[], crate::space::Tuple::new(Some("T"), &["i"])));
-        insert(key.clone(), CacheVal::Set(junk));
-        assert_eq!(lookup_bool(&key), None, "wrong variant must read as a miss");
-        assert_eq!(stats::poisoned(), poisoned_before + 1);
-        assert!(
-            lock(&TABLE).get(&key).is_none(),
-            "poisoned entry must be evicted"
-        );
-        // The recompute path stores the right variant and hits thereafter.
-        insert(key.clone(), CacheVal::Bool(false));
-        assert_eq!(lookup_bool(&key), Some(false));
+        insert(eq_then_ineq.clone(), true);
+        assert_eq!(probe(&two_ineqs), None);
+        assert_eq!(probe(&one_long_row), None);
+        insert(two_ineqs.clone(), false);
+        assert_eq!(probe(&eq_then_ineq), Some(true));
+        assert_eq!(probe(&two_ineqs), Some(false));
+
+        // Through `is_empty`: `x - y = 3 and x + y = 4` has no integer
+        // point, the same rows read as inequalities have many.
+        let space = Space::set(&[], Tuple::new(Some("K"), &["x", "y"]));
+        let rows = vec![vec![1, -1, -3], vec![1, 1, -4]];
+        let as_eqs = BasicSet::from_rows(space.clone(), 0, rows.clone(), vec![]);
+        let as_ineqs = BasicSet::from_rows(space, 0, vec![], rows);
+        assert!(rows_key(&as_eqs) != rows_key(&as_ineqs));
+        assert!(as_eqs.is_empty().unwrap());
+        assert!(!as_ineqs.is_empty().unwrap());
     }
 
-    /// Every typed lookup tolerates every wrong variant (returns None,
-    /// never panics).
+    /// The bound that always holds: however many distinct systems go
+    /// through `is_empty`, the table never exceeds its cap, and a query
+    /// repeated after the wholesale clear answers as before.
     #[test]
-    fn typed_lookups_reject_all_wrong_variants() {
-        let _serial = lock(&SERIAL);
-        let key = CacheKey::IsEmpty(sys_key(&[], &[vec![5, 5, 5]]));
-        for wrong in [
-            CacheVal::Bool(true),
-            CacheVal::BSets(vec![]),
-            CacheVal::Set(Set::universe(Space::set(
-                &[],
-                crate::space::Tuple::new(Some("T"), &["i"]),
-            ))),
-        ] {
-            clear();
-            insert(key.clone(), wrong);
-            // Each lookup either extracts its own variant or reports a miss.
-            let _ = lookup_bool(&key);
-            clear();
+    fn table_is_bounded_and_answers_survive_the_clear() {
+        let _serial = serial();
+        let space = Space::set(&[], Tuple::new(Some("B"), &["i", "j"]));
+        // `k <= i + j <= k + 1 and i - j = 0`: two-variable rows only, so
+        // the interval pre-check cannot answer before the table is reached.
+        let system = |k: i64| {
+            BasicSet::from_rows(
+                space.clone(),
+                0,
+                vec![vec![1, -1, 0]],
+                vec![vec![1, 1, -k], vec![-1, -1, k + 1]],
+            )
+        };
+        clear();
+        let first = system(0).is_empty().unwrap();
+        for k in 1..=CACHE_CAP as i64 {
+            assert!(!system(k).is_empty().unwrap(), "k={k}");
+            assert!(len() <= CACHE_CAP);
         }
-        clear();
-        insert(key.clone(), CacheVal::Bool(true));
-        assert!(lookup_bsets(&key).is_none());
-        insert(key.clone(), CacheVal::Bool(true));
-        assert!(lookup_set(&key).is_none());
-        insert(key.clone(), CacheVal::Bool(true));
-        assert!(lookup_map(&key).is_none());
-        clear();
+        assert_eq!(probe(&rows_key(&system(0))), None, "table was cleared");
+        assert_eq!(system(0).is_empty().unwrap(), first);
     }
 }

@@ -7,7 +7,6 @@
 
 use crate::aff::AffExpr;
 use crate::bset::BasicSet;
-use crate::cache::{self, CacheKey, CacheVal};
 use crate::error::{Error, Result};
 use crate::set::Set;
 use crate::space::Space;
@@ -215,13 +214,9 @@ impl Map {
         self.inner.is_equal(&other.inner)
     }
 
-    /// The reversed relation `{ y -> x : x -> y ∈ self }`. Memoized on
-    /// the map's structure (see [`crate::cache`]).
+    /// The reversed relation `{ y -> x : x -> y ∈ self }`.
     pub fn reverse(&self) -> Map {
-        let key = CacheKey::Reverse(cache::set_key(&self.inner));
-        if let Some(m) = cache::lookup_map(&key) {
-            return m;
-        }
+        crate::stats::record(crate::stats::Op::Reverse, false);
         let _timer = crate::stats::op_timer(crate::stats::Op::Reverse);
         let space = self.space().reversed();
         let n_param = self.space().n_param();
@@ -252,11 +247,9 @@ impl Map {
                 )
             })
             .collect();
-        let result = Map {
+        Map {
             inner: Set::from_basics(space, basics).expect("reversed basics share space"),
-        };
-        cache::insert(key, CacheVal::Map(result.clone()));
-        result
+        }
     }
 
     /// The domain `{ x : ∃y, x -> y }`.
@@ -451,22 +444,14 @@ impl Map {
         })
     }
 
-    /// Applies the map to a set: `{ y : ∃x ∈ set, x -> y }`. Memoized on
-    /// both operands' structure (see [`crate::cache`]).
+    /// Applies the map to a set: `{ y : ∃x ∈ set, x -> y }`.
     ///
     /// # Errors
     /// Returns an error if `set` is not in the domain space, or on overflow.
     pub fn apply(&self, set: &Set) -> Result<Set> {
-        let key = CacheKey::Apply(cache::set_key(&self.inner), cache::set_key(set));
-        if let Some(s) = cache::lookup_set(&key) {
-            return Ok(s);
-        }
-        let result = {
-            let _timer = crate::stats::op_timer(crate::stats::Op::Apply);
-            self.intersect_domain(set)?.range()?
-        };
-        cache::insert(key, CacheVal::Set(result.clone()));
-        Ok(result)
+        crate::stats::record(crate::stats::Op::Apply, false);
+        let _timer = crate::stats::op_timer(crate::stats::Op::Apply);
+        self.intersect_domain(set)?.range()
     }
 
     /// The image of a single input point: `{ y : point -> y }`.

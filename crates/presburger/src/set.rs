@@ -1,7 +1,6 @@
 //! Sets: finite unions of [`BasicSet`]s in a common space.
 
 use crate::bset::BasicSet;
-use crate::cache::{self, CacheKey, CacheVal};
 use crate::error::{Error, Result};
 use crate::space::Space;
 
@@ -100,17 +99,14 @@ impl Set {
         })
     }
 
-    /// Intersection with another set in the same space. Results are
-    /// memoized on both operands' structure (see [`crate::cache`]).
+    /// Intersection with another set in the same space; empty pairwise
+    /// intersections are dropped.
     ///
     /// # Errors
     /// Returns an error on space mismatch or overflow.
     pub fn intersect(&self, other: &Set) -> Result<Set> {
         self.space.check_compatible(&other.space, "intersect")?;
-        let key = CacheKey::Intersect(cache::set_key(self), cache::set_key(other));
-        if let Some(s) = cache::lookup_set(&key) {
-            return Ok(s);
-        }
+        crate::stats::record(crate::stats::Op::Intersect, false);
         let _timer = crate::stats::op_timer(crate::stats::Op::Intersect);
         let mut basics = Vec::new();
         for a in &self.basics {
@@ -121,12 +117,10 @@ impl Set {
                 }
             }
         }
-        let result = Set {
+        Ok(Set {
             space: self.space.clone(),
             basics,
-        };
-        cache::insert(key, CacheVal::Set(result.clone()));
-        Ok(result)
+        })
     }
 
     /// Set difference `self − other`.

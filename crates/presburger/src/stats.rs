@@ -1,21 +1,23 @@
-//! Hit/miss counters for the memoized presburger operations.
+//! Call counters for the five tracked presburger operations.
 //!
-//! The memo table in [`crate::cache`] records a hit or miss here on
-//! every lookup, per operation, so callers (the bench harness, the
-//! experiment driver) can observe how much recomputation the cache is
-//! eliminating. Counters are process-global atomics: cheap to bump,
-//! safe to read from any thread.
+//! `is_empty` is memoized (a process-global table keyed on constraint
+//! rows) and records a hit or a miss per call here, so callers (the bench
+//! harness, the experiment driver) can observe how much recomputation the
+//! memo is eliminating. The other four operations always compute and
+//! record every call as a miss, which keeps their per-phase call counts
+//! observable. Counters are process-global atomics: cheap to bump, safe to
+//! read from any thread.
 //!
 //! When span tracing is enabled (`tilefuse_trace::set_enabled`), every
-//! hit/miss — and the wall time of every *uncached* operation body, via
-//! [`timed`] — is additionally attributed to the innermost open span on
-//! the calling thread (counter slot = `Op as usize`), so phase tables can
-//! show which pipeline phase is paying for which presburger operation.
+//! hit/miss — and the wall time of every computed operation body — is
+//! additionally attributed to the innermost open span on the calling
+//! thread (counter slot = `Op as usize`), so phase tables can show which
+//! pipeline phase is paying for which presburger operation.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Which memoized operation a lookup belongs to.
+/// Which tracked operation a call belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// [`crate::BasicSet::is_empty`]
@@ -32,18 +34,18 @@ pub enum Op {
 
 const N_OPS: usize = 5;
 
-/// The memoized operation names, indexed by `Op as usize`. Doubles as the
+/// The tracked operation names, indexed by `Op as usize`. Doubles as the
 /// trace counter-slot labels for `tilefuse_trace::phase_table` /
-/// `chrome_trace_json`, since [`record`] attributes each hit/miss to slot
+/// `chrome_trace_json`, since each hit/miss is attributed to slot
 /// `Op as usize` of the enclosing span.
 pub const OP_NAMES: [&str; N_OPS] = ["is_empty", "project", "intersect", "apply", "reverse"];
 
 /// Trace counter slot used for silent-feasible fallbacks (the slot after
-/// the five memoized-operation slots).
+/// the five operation slots).
 pub const SILENT_FEASIBLE_SLOT: usize = N_OPS;
 
 /// Every trace counter slot this crate reports to, in slot order: the five
-/// memoized operations plus the silent-feasible fallback counter. Pass
+/// tracked operations plus the silent-feasible fallback counter. Pass
 /// this (instead of [`OP_NAMES`]) to `tilefuse_trace::phase_table` /
 /// `chrome_trace_json` so slot 5 gets a label.
 pub const SLOT_NAMES: [&str; N_OPS + 1] = [
@@ -57,7 +59,6 @@ pub const SLOT_NAMES: [&str; N_OPS + 1] = [
 
 static HITS: [AtomicU64; N_OPS] = [const { AtomicU64::new(0) }; N_OPS];
 static MISSES: [AtomicU64; N_OPS] = [const { AtomicU64::new(0) }; N_OPS];
-static POISONED: AtomicU64 = AtomicU64::new(0);
 static SILENT_FEASIBLE: AtomicU64 = AtomicU64::new(0);
 
 pub(crate) fn record(op: Op, hit: bool) {
@@ -68,19 +69,6 @@ pub(crate) fn record(op: Op, hit: bool) {
         MISSES[i].fetch_add(1, Ordering::Relaxed);
     }
     tilefuse_trace::note_counter(i, hit);
-}
-
-/// Records a memo entry that existed under the right key but held the
-/// wrong value variant (see `cache` typed lookups); the entry is evicted
-/// and the operation recomputed, so this only ever costs a miss.
-pub(crate) fn record_poisoned() {
-    POISONED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Number of poisoned memo entries encountered (wrong value variant under
-/// a key); each was evicted and recomputed. Stays 0 in normal operation.
-pub fn poisoned() -> u64 {
-    POISONED.load(Ordering::Relaxed)
 }
 
 /// Records one conservative "feasible" fallback from `omega::feasible`
@@ -101,10 +89,10 @@ pub fn silent_feasible() -> u64 {
     SILENT_FEASIBLE.load(Ordering::Relaxed)
 }
 
-/// RAII timer for the uncached body of a memoized operation: on drop,
-/// attributes the elapsed wall time to the enclosing trace span (slot
-/// `op as usize`). Inert — no timestamps taken — while tracing is
-/// disabled. Obtain via [`op_timer`] after a memo miss.
+/// RAII timer for the computed body of an operation: on drop, attributes
+/// the elapsed wall time to the enclosing trace span (slot `op as usize`).
+/// Inert — no timestamps taken — while tracing is disabled. Obtain via
+/// [`op_timer`] (for `is_empty`, after a memo miss).
 pub(crate) struct OpTimer {
     op: Op,
     start: Option<std::time::Instant>,
@@ -118,7 +106,7 @@ impl Drop for OpTimer {
     }
 }
 
-/// Starts timing an uncached operation body (see [`OpTimer`]).
+/// Starts timing a computed operation body (see [`OpTimer`]).
 pub(crate) fn op_timer(op: Op) -> OpTimer {
     OpTimer {
         op,
@@ -126,7 +114,7 @@ pub(crate) fn op_timer(op: Op) -> OpTimer {
     }
 }
 
-/// Hit/miss counts for one memoized operation.
+/// Hit/miss counts for one operation (only `is_empty` ever hits).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpStats {
     pub hits: u64,
@@ -225,12 +213,11 @@ pub fn reset() {
         HITS[i].store(0, Ordering::Relaxed);
         MISSES[i].store(0, Ordering::Relaxed);
     }
-    POISONED.store(0, Ordering::Relaxed);
     SILENT_FEASIBLE.store(0, Ordering::Relaxed);
 }
 
-/// Empties the memo table and the row interner. Counters are untouched;
-/// combine with [`reset`] for a fully cold start.
+/// Empties the memo table. Counters are untouched; combine with [`reset`]
+/// for a fully cold start.
 pub fn clear_cache() {
     crate::cache::clear();
 }
@@ -239,10 +226,10 @@ pub fn clear_cache() {
 /// emptiness pre-check) are consulted. Default `true`.
 static MEMO_ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Globally enables or disables every memo layer: the structural memo
-/// table, the inline per-object emptiness flag and the O(rows) interval
-/// emptiness pre-check. With memoization disabled every operation runs
-/// the full uncached algorithm (e.g. the Omega test for emptiness).
+/// Globally enables or disables every memo layer: the emptiness table,
+/// the inline per-object emptiness flag and the O(rows) interval
+/// emptiness pre-check. With memoization disabled every emptiness query
+/// runs the full Omega test.
 ///
 /// This exists for *differential validation*: the fuzzing oracle in
 /// `crates/fuzzgen` recomputes analyses with the memo off and compares

@@ -6,9 +6,20 @@
 //! xorshift generator so the suite is reproducible and has no external
 //! dependencies.
 
-use tilefuse_presburger::{AffExpr, BasicSet, Map, Set, Space, Tuple};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use tilefuse_presburger::{stats, AffExpr, BasicSet, Map, Set, Space, Tuple};
+
+/// Two tests toggle the process-global memo switch and one of them reads
+/// the process-global hit/miss counters around single calls, so every
+/// test in this binary serializes on this lock.
+static LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Deterministic xorshift64* PRNG; good enough for test-case generation.
+#[derive(Clone)]
 struct Rng(u64);
 
 impl Rng {
@@ -88,6 +99,7 @@ fn brute_points(b: &BasicSet, lo: i64, hi: i64) -> Vec<(i64, i64)> {
 
 #[test]
 fn emptiness_matches_brute_force() {
+    let _serial = serial();
     let mut rng = Rng::new(0xe17);
     for _ in 0..CASES {
         let (ilo, ihi) = (rng.range(-6, 6), rng.range(-6, 6));
@@ -149,49 +161,189 @@ fn random_system(rng: &mut Rng, n: usize) -> (BasicSet, Vec<(i64, i64)>) {
 
 #[test]
 fn projection_is_exact() {
-    // Same cases with the memo on and off: the flag is process-global, but
-    // it only decides whether work is cached, never a result.
+    let _serial = serial();
+    // Same cases with the memo on and off: the flag only decides whether
+    // work is cached, never a result.
     for memo in [true, false] {
-        tilefuse_presburger::stats::set_memo_enabled(memo);
+        stats::set_memo_enabled(memo);
         let mut rng = Rng::new(0x9a0);
         for _ in 0..CASES {
             let n = rng.range(2, 4) as usize;
             let (b, bounds) = random_system(&mut rng, n);
             let col = rng.range(0, n as i64) as usize;
             let projected = Set::from_basic(b.clone()).project_out_dims(col, 1).unwrap();
-            // Every point of the kept dims, one step beyond the box.
-            let kept: Vec<usize> = (0..n).filter(|&d| d != col).collect();
-            let mut p: Vec<i64> = kept.iter().map(|&d| bounds[d].0 - 1).collect();
-            'points: loop {
-                let mut full = vec![0; n];
-                for (&d, &v) in kept.iter().zip(&p) {
-                    full[d] = v;
-                }
-                let expect = (bounds[col].0..=bounds[col].1).any(|v| {
-                    full[col] = v;
-                    b.contains(&full).unwrap()
-                });
+            for_each_kept_point(&bounds, col, &mut |p| {
                 assert_eq!(
-                    projected.contains(&p).unwrap(),
-                    expect,
+                    projected.contains(p).unwrap(),
+                    shadow_contains(&b, &bounds, col, p),
                     "memo {memo}, {b} without x{col} at {p:?}: {projected}"
                 );
-                for (k, &d) in kept.iter().enumerate() {
-                    if p[k] <= bounds[d].1 {
-                        p[k] += 1;
-                        continue 'points;
-                    }
-                    p[k] = bounds[d].0 - 1;
-                }
-                break;
-            }
+            });
         }
     }
-    tilefuse_presburger::stats::set_memo_enabled(true);
+    stats::set_memo_enabled(true);
+}
+
+/// One bounded random set for the emptiness/counting properties, with the
+/// system and box its points are enumerated from: the system itself, or —
+/// one case in three — its projection along a hidden last dim tied to a
+/// kept one by `x0 = m*e + r`, whose disjuncts carry an existential div.
+/// Deterministic in `rng`, so two calls from equal generator states build
+/// structurally identical sets out of distinct objects.
+fn random_bounded_set(rng: &mut Rng) -> (Set, BasicSet, Vec<(i64, i64)>, Option<usize>) {
+    let n = rng.range(2, 4) as usize;
+    let (mut b, bounds) = random_system(rng, n);
+    if rng.range(0, 3) > 0 {
+        return (Set::from_basic(b.clone()), b, bounds, None);
+    }
+    let e = n - 1;
+    let stride = AffExpr::zero(b.space())
+        .with_dim_coeff(0, 1)
+        .with_dim_coeff(e, -rng.range(2, 5))
+        .with_constant(-rng.range(0, 4));
+    b.add_constraint(&stride.eq_zero()).unwrap();
+    // The basic-set projection, so the disjuncts arrive untested.
+    let names: Vec<String> = (0..e).map(|d| format!("x{d}")).collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let kept_space = Space::set(&[], Tuple::new(Some("S"), &names));
+    let set = Set::from_basics(kept_space, b.project_out_dims(e, 1).unwrap()).unwrap();
+    (set, b, bounds, Some(e))
+}
+
+/// Calls `f` on every point of the box over the dims other than `hidden`,
+/// one step beyond it on each side.
+fn for_each_kept_point(bounds: &[(i64, i64)], hidden: usize, f: &mut dyn FnMut(&[i64])) {
+    let kept: Vec<(i64, i64)> = (0..bounds.len())
+        .filter(|&d| d != hidden)
+        .map(|d| (bounds[d].0 - 1, bounds[d].1 + 1))
+        .collect();
+    let mut p: Vec<i64> = kept.iter().map(|b| b.0).collect();
+    'points: loop {
+        f(&p);
+        for (v, b) in p.iter_mut().zip(&kept) {
+            if *v < b.1 {
+                *v += 1;
+                continue 'points;
+            }
+            *v = b.0;
+        }
+        return;
+    }
+}
+
+/// Whether `b` holds at `p` (the dims other than `hidden`) for some value
+/// of `hidden` inside its box.
+fn shadow_contains(b: &BasicSet, bounds: &[(i64, i64)], hidden: usize, p: &[i64]) -> bool {
+    let mut full = p.to_vec();
+    full.insert(hidden, 0);
+    (bounds[hidden].0..=bounds[hidden].1).any(|v| {
+        full[hidden] = v;
+        b.contains(&full).unwrap()
+    })
+}
+
+/// Number of points of the case's set, by enumerating its box.
+fn brute_count(b: &BasicSet, bounds: &[(i64, i64)], hidden: Option<usize>) -> u64 {
+    let mut n = 0;
+    match hidden {
+        Some(h) => for_each_kept_point(bounds, h, &mut |p| {
+            n += u64::from(shadow_contains(b, bounds, h, p));
+        }),
+        None => for_each_kept_point(bounds, bounds.len(), &mut |p| {
+            n += u64::from(b.contains(p).unwrap());
+        }),
+    }
+    n
+}
+
+/// `is_empty` and `count_points` against enumeration, memo on and off,
+/// through fresh, reused and cloned objects — so that each memo layer
+/// (interval pre-check, inline flag, table) is the one that answers at
+/// least once, and each of those answers is checked like an Omega one.
+#[test]
+fn emptiness_and_counts_match_enumeration_through_every_memo_layer() {
+    let _serial = serial();
+    // Which layer answered a `Set::is_empty` call, from the counters it
+    // moved: a table probe records one hit or miss per disjunct reached;
+    // the inline flag and the interval pre-check record nothing.
+    let ask = |s: &Set| {
+        let before = stats::snapshot().is_empty;
+        let empty = s.is_empty().unwrap();
+        let after = stats::snapshot().is_empty;
+        (
+            empty,
+            after.hits - before.hits,
+            after.misses - before.misses,
+        )
+    };
+    let (mut by_interval, mut by_flag, mut by_table, mut by_omega) = (0, 0, 0, 0);
+    let (mut empties, mut with_div) = (0, 0);
+    for memo in [true, false] {
+        stats::set_memo_enabled(memo);
+        stats::clear_cache();
+        let mut rng = Rng::new(0xe3b7);
+        for case in 0..2 * CASES {
+            let mut twin_rng = rng.clone();
+            let (set, b, bounds, hidden) = random_bounded_set(&mut rng);
+            let (twin, ..) = random_bounded_set(&mut twin_rng);
+            let expect = brute_count(&b, &bounds, hidden);
+            let ctx = format!("memo {memo}, case {case}: {set}");
+            empties += u64::from(expect == 0);
+            with_div += u64::from(set.basics().iter().any(|d| d.n_div() > 0));
+
+            // Fresh object: Omega, the interval pre-check, or (a system a
+            // previous case left behind) the table.
+            let (empty, hits, misses) = ask(&set);
+            assert_eq!(empty, expect == 0, "fresh, {ctx}");
+            if !memo {
+                assert!(
+                    set.n_basic() == 0 || misses > 0,
+                    "memo off must run Omega, {ctx}"
+                );
+                assert_eq!(hits, 0, "{ctx}");
+            } else if hits + misses == 0 && set.n_basic() > 0 {
+                assert!(empty, "the pre-check only ever proves emptiness, {ctx}");
+                by_interval += 1;
+            }
+            by_omega += misses;
+
+            // Same object and its clone: the inline flag, no table traffic.
+            for again in [&set, &set.clone()] {
+                let (empty, hits, misses) = ask(again);
+                assert_eq!(empty, expect == 0, "reused, {ctx}");
+                if memo {
+                    assert_eq!(hits + misses, 0, "inline flag must answer, {ctx}");
+                    by_flag += 1;
+                }
+            }
+
+            // Structurally identical fresh object: nothing is recomputed.
+            let (empty, hits, misses) = ask(&twin);
+            assert_eq!(empty, expect == 0, "twin, {ctx}");
+            if memo {
+                assert_eq!(misses, 0, "twin must not recompute, {ctx}");
+                by_table += hits;
+            }
+
+            assert_eq!(set.count_points(&[]).unwrap(), expect, "count, {ctx}");
+            assert_eq!(twin.count_points(&[]).unwrap(), expect, "twin count, {ctx}");
+        }
+    }
+    stats::set_memo_enabled(true);
+    assert!(
+        by_interval > 0 && by_flag > 0 && by_table > 0 && by_omega > 0,
+        "a layer never answered: interval {by_interval}, flag {by_flag}, \
+         table {by_table}, omega {by_omega}"
+    );
+    assert!(
+        empties > 0 && with_div > 0,
+        "{empties} empty, {with_div} with a div"
+    );
 }
 
 #[test]
 fn subtraction_laws() {
+    let _serial = serial();
     let mut rng = Rng::new(0x5b);
     for _ in 0..CASES {
         let (a_lo, a_hi) = (rng.range(-5, 5), rng.range(-5, 5));
@@ -211,6 +363,7 @@ fn subtraction_laws() {
 
 #[test]
 fn union_and_intersection_bounds() {
+    let _serial = serial();
     let mut rng = Rng::new(0xbeef);
     for _ in 0..CASES {
         let (a_lo, a_hi) = (rng.range(-5, 5), rng.range(-5, 5));
@@ -228,6 +381,7 @@ fn union_and_intersection_bounds() {
 
 #[test]
 fn scanner_agrees_with_contains() {
+    let _serial = serial();
     let mut rng = Rng::new(0x5ca9);
     for _ in 0..CASES {
         let (ilo, ihi) = (rng.range(-4, 4), rng.range(-4, 4));
@@ -250,6 +404,7 @@ fn scanner_agrees_with_contains() {
 
 #[test]
 fn map_reverse_involution() {
+    let _serial = serial();
     let mut rng = Rng::new(0x1e5);
     for _ in 0..CASES {
         let shift = rng.range(-5, 6);
@@ -279,6 +434,7 @@ fn map_reverse_involution() {
 
 #[test]
 fn compose_respects_images() {
+    let _serial = serial();
     let mut rng = Rng::new(0xc0);
     for _ in 0..CASES {
         let s1 = rng.range(-3, 4);
@@ -304,6 +460,7 @@ fn compose_respects_images() {
 
 #[test]
 fn rect_hull_contains_all_points() {
+    let _serial = serial();
     let mut rng = Rng::new(0x4a11);
     for _ in 0..CASES {
         let (ilo, ihi) = (rng.range(-4, 4), rng.range(-4, 4));

@@ -47,7 +47,7 @@ const MAX_SUMMARY_OFFSETS: usize = 8;
 
 /// Diagnostic summary of one instance-wise dependence's inter-tile
 /// behaviour: the distinct tile-offset vectors (destination tile minus
-/// source tile), capped at [`MAX_SUMMARY_OFFSETS`].
+/// source tile), capped at 8 (`MAX_SUMMARY_OFFSETS`).
 #[derive(Debug, Clone)]
 pub struct TileDep {
     /// Source statement name.

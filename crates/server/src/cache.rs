@@ -3,15 +3,13 @@
 //! Schedules are parametric in the program's parameters, so a cached
 //! [`Optimized`] tree is valid for *every* problem size of the same
 //! pipeline — a hit skips the entire polyhedral search (zero Omega ops)
-//! and goes straight to execution. This is the first rung of ROADMAP
-//! item 2's plan-cache story.
+//! and goes straight to execution.
 //!
 //! The cache is a bounded, sharded-by-nothing `Mutex<HashMap>`: plans are
 //! small (a schedule tree plus report), the daemon's worker count is in
 //! the single digits, and the lock is held only for a clone of an `Arc`.
-//! Eviction is whole-sale at capacity (the same policy the presburger
-//! interner uses): simple, and a cold restart costs one optimize per
-//! distinct pipeline.
+//! Eviction is whole-sale at capacity: simple, and a cold restart costs
+//! one optimize per distinct pipeline.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -134,7 +134,6 @@ pub fn parse_request(v: &Value) -> Result<Request, ServerError> {
                     max_omega_ops: get_u64(b, "max_omega_ops"),
                     max_branches_per_call: get_u64(b, "max_branches_per_call").map(|n| n as usize),
                     max_disjuncts: get_u64(b, "max_disjuncts").map(|n| n as usize),
-                    max_interned_rows: get_u64(b, "max_interned_rows").map(|n| n as usize),
                 }),
             };
             let fault = parse_fault(v.get("fault"))?;
@@ -642,6 +641,28 @@ mod tests {
             }
             other => panic!("wrong parse: {other:?}"),
         }
+    }
+
+    /// Old clients and on-disk quarantine artifacts may still carry the
+    /// retired interner cap; the key is ignored, not rejected.
+    #[test]
+    fn retired_budget_key_is_ignored() {
+        let frame = |budget: &str| {
+            let text = format!(
+                r#"{{"op":"optimize","id":4,"budget":{budget},
+                    "spec":{{"size":8,"tile":2,"smart_startup":false,
+                             "parallel_cap":null,"param_delta":0,
+                             "stages":[{{"kind":"point","src":0,"liveout":true}}]}}}}"#
+            );
+            match parse_request(&json::parse(&text).unwrap()).unwrap() {
+                Request::Optimize(r) => r.budget,
+                other => panic!("wrong parse: {other:?}"),
+            }
+        };
+        let old = frame(r#"{"max_omega_ops":1000,"max_disjuncts":6,"max_interned_rows":256}"#);
+        let new = frame(r#"{"max_omega_ops":1000,"max_disjuncts":6}"#);
+        assert_eq!(old, new);
+        assert_eq!(old.unwrap().max_disjuncts, Some(6));
     }
 
     #[test]

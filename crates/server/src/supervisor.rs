@@ -575,7 +575,6 @@ pub fn tighten(b: &Budget) -> Budget {
         max_omega_ops: b.max_omega_ops.map(|n| (n / 2).max(1)),
         max_branches_per_call: b.max_branches_per_call.map(|n| (n / 2).max(1)),
         max_disjuncts: b.max_disjuncts.map(|n| (n / 2).max(1)),
-        max_interned_rows: b.max_interned_rows.map(|n| (n / 2).max(1)),
     }
 }
 

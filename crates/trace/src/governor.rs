@@ -48,9 +48,6 @@ pub struct Budget {
     /// Peak disjunct (basic-set) count tolerated in footprint/extension
     /// sets; shrinks the built-in coalescing cap (never enlarges it).
     pub max_disjuncts: Option<usize>,
-    /// Cap on the presburger row interner; crossing it triggers a wholesale
-    /// cache clear (a memory bound, not an error).
-    pub max_interned_rows: Option<usize>,
 }
 
 impl Budget {
@@ -207,7 +204,6 @@ thread_local! {
     static OMEGA_CAP: Cell<u64> = const { Cell::new(u64::MAX) };
     static BRANCH_CAP: Cell<usize> = const { Cell::new(usize::MAX) };
     static DISJUNCT_CAP: Cell<usize> = const { Cell::new(usize::MAX) };
-    static INTERN_CAP: Cell<usize> = const { Cell::new(usize::MAX) };
     static PEAK_DISJUNCTS: Cell<usize> = const { Cell::new(0) };
     static SILENT: Cell<u64> = const { Cell::new(0) };
     static DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
@@ -244,7 +240,6 @@ struct Saved {
     omega_cap: u64,
     branch_cap: usize,
     disjunct_cap: usize,
-    intern_cap: usize,
     peak_disjuncts: usize,
     silent: u64,
     deadline: Option<Instant>,
@@ -281,7 +276,6 @@ impl Drop for GovernorGuard {
         OMEGA_CAP.with(|c| c.set(self.prev.omega_cap));
         BRANCH_CAP.with(|c| c.set(self.prev.branch_cap));
         DISJUNCT_CAP.with(|c| c.set(self.prev.disjunct_cap));
-        INTERN_CAP.with(|c| c.set(self.prev.intern_cap));
         DEADLINE.with(|c| c.set(self.prev.deadline));
         CEIL.with(|c| c.set(self.prev.ceil));
         GRANT.with(|c| c.set(self.prev.grant));
@@ -330,7 +324,6 @@ pub fn install_with_cancel(budget: &Budget, cancel: Option<CancelToken>) -> Gove
         omega_cap: OMEGA_CAP.with(Cell::get),
         branch_cap: BRANCH_CAP.with(Cell::get),
         disjunct_cap: DISJUNCT_CAP.with(Cell::get),
-        intern_cap: INTERN_CAP.with(Cell::get),
         peak_disjuncts: PEAK_DISJUNCTS.with(Cell::get),
         silent: SILENT.with(Cell::get),
         deadline: DEADLINE.with(Cell::get),
@@ -383,14 +376,6 @@ pub fn install_with_cancel(budget: &Budget, cancel: Option<CancelToken>) -> Gove
                 .max_disjuncts
                 .unwrap_or(usize::MAX)
                 .min(outer_cap(prev.disjunct_cap)),
-        )
-    });
-    INTERN_CAP.with(|c| {
-        c.set(
-            budget
-                .max_interned_rows
-                .unwrap_or(usize::MAX)
-                .min(outer_cap(prev.intern_cap)),
         )
     });
     PEAK_DISJUNCTS.with(|c| c.set(0));
@@ -514,7 +499,6 @@ pub fn disarm() {
     ENFORCING.with(|c| c.set(false));
     BRANCH_CAP.with(|c| c.set(usize::MAX));
     DISJUNCT_CAP.with(|c| c.set(usize::MAX));
-    INTERN_CAP.with(|c| c.set(usize::MAX));
 }
 
 /// Whether the installed governor's precision caps have forced at least
@@ -548,16 +532,6 @@ pub fn branch_cap() -> usize {
 pub fn disjunct_cap() -> usize {
     if ACTIVE.with(Cell::get) {
         DISJUNCT_CAP.with(Cell::get)
-    } else {
-        usize::MAX
-    }
-}
-
-/// Effective interned-row cap (`usize::MAX` when uncapped).
-#[must_use]
-pub fn intern_cap() -> usize {
-    if ACTIVE.with(Cell::get) {
-        INTERN_CAP.with(Cell::get)
     } else {
         usize::MAX
     }
@@ -631,7 +605,6 @@ mod tests {
         assert!(checkpoint("anything").is_ok());
         assert_eq!(branch_cap(), usize::MAX);
         assert_eq!(disjunct_cap(), usize::MAX);
-        assert_eq!(intern_cap(), usize::MAX);
     }
 
     #[test]
@@ -701,14 +674,12 @@ mod tests {
         let budget = Budget {
             max_branches_per_call: Some(8),
             max_disjuncts: Some(2),
-            max_interned_rows: Some(64),
             ..Budget::default()
         };
         {
             let _g = install(&budget);
             assert_eq!(branch_cap(), 8);
             assert_eq!(disjunct_cap(), 2);
-            assert_eq!(intern_cap(), 64);
         }
         assert!(!active());
         assert_eq!(branch_cap(), usize::MAX);

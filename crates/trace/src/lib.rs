@@ -205,7 +205,7 @@ pub fn reset() {
     MIRROR.with(|m| m.borrow_mut().clear());
 }
 
-/// RAII span guard: created by [`span`] / [`span!`], closes the span on
+/// RAII span guard: created by [`span()`] / [`span!`], closes the span on
 /// drop. Inert (and free) when tracing was disabled at creation.
 #[must_use = "a span guard must be held for the span's duration"]
 pub struct SpanGuard {
