@@ -6,7 +6,7 @@
 //! cargo run --release -p tilefuse-bench --bin experiments all --trace out.json
 //! ```
 //! Artifacts: table1, table1-compile, fig8, fig9, table2, fig10,
-//! table3, table3-compile, all.
+//! table3, table3-compile, ablation, all.
 //!
 //! Independent artifacts are generated concurrently on a bounded worker
 //! pool (`TILEFUSE_JOBS` workers, default: the machine's parallelism);
@@ -21,11 +21,11 @@
 //! total/self time, and per-span presburger cache hit/miss counters — is
 //! printed to stderr after the artifacts.
 //!
-//! `--deadline-ms N` and `--max-omega-branches N` install a resource
-//! budget for every `optimize` call in the run (see DESIGN.md §10): the
-//! optimizer degrades through its ladder instead of blowing the limit,
-//! and the JSON summary gains a `"degradation"` section recording the
-//! rung and trip counts per workload.
+//! `--deadline-ms N` installs a resource budget for every `optimize`
+//! call in the run (see DESIGN.md §10): the optimizer degrades through
+//! its ladder instead of blowing the limit, and the JSON summary gains a
+//! `"degradation"` section recording the rung and trip counts per
+//! workload.
 //!
 //! `--backend vm` additionally *executes* every PolyMage workload on both
 //! execution backends — the reference interpreter and the register-based
@@ -40,8 +40,10 @@ use std::time::Instant;
 use tilefuse_bench::backends::{backend_table, compare_backends, BackendRow, BACKEND_IMG};
 use tilefuse_bench::par::{effective_jobs, par_map};
 use tilefuse_bench::tables::{self, ResultTable};
-use tilefuse_bench::versions::{self, BoxError};
+use tilefuse_bench::versions::{self, summaries, BoxError, TargetKind, Version};
+use tilefuse_memsim::{cpu_time, CpuModel};
 use tilefuse_presburger::stats;
+use tilefuse_workloads::polymage::harris;
 
 type Generator = fn() -> Result<Vec<ResultTable>, BoxError>;
 
@@ -58,7 +60,27 @@ const ARTIFACTS: &[(&str, Generator)] = &[
     ("table3-compile", || {
         tables::table3_compile().map(|t| vec![t])
     }),
+    ("ablation", ablation),
 ];
+
+/// What each design choice buys on Harris: no fusion (minfuse), fusion
+/// with the loose PolyMage-style overlap, and the paper's tight per-stage
+/// footprints — isolating the contribution of exact upwards-exposed-data
+/// footprints.
+fn ablation() -> Result<Vec<ResultTable>, BoxError> {
+    let w = harris(128, 128)?;
+    let model = CpuModel::xeon_e5_2683_v4();
+    let mut rows = Vec::new();
+    for v in [Version::MinFuse, Version::PolyMage, Version::Ours] {
+        let t = cpu_time(&model, &summaries(&w, v, TargetKind::Cpu)?)?;
+        rows.push((v.label().to_string(), vec![format!("{:.3}", t.total * 1e3)]));
+    }
+    Ok(vec![ResultTable {
+        title: "Ablation — Harris, modeled CPU time (ms, 32 threads)".into(),
+        columns: vec!["time".into()],
+        rows,
+    }])
+}
 
 /// `experiments all` must keep the `is_empty` memo effective: the 26%
 /// hit-rate pathology (Rule 2 intersecting *projected* extension ranges,
@@ -75,7 +97,7 @@ struct Outcome {
 fn usage() -> ! {
     eprintln!(
         "usage: experiments [ARTIFACT] [--trace FILE] [--deadline-ms N] \
-         [--max-omega-branches N] [--backend interp|vm]"
+         [--backend interp|vm]"
     );
     eprintln!("artifacts:");
     for (name, _) in ARTIFACTS {
@@ -100,11 +122,6 @@ fn main() {
         } else if a == "--deadline-ms" {
             match args.next().and_then(|v| v.parse().ok()) {
                 Some(ms) => budget.deadline_ms = Some(ms),
-                None => usage(),
-            }
-        } else if a == "--max-omega-branches" {
-            match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => budget.max_branches_per_call = Some(n),
                 None => usage(),
             }
         } else if a == "--backend" {
@@ -203,7 +220,7 @@ fn main() {
 
     if let Some(path) = &trace_path {
         // SLOT_NAMES includes the silent_feasible counter slot, so the
-        // phase table attributes capped-feasibility fallbacks to the
+        // phase table attributes branch-cap feasibility fallbacks to the
         // innermost span that incurred them.
         let slot_names = &stats::SLOT_NAMES[..];
         eprintln!();

@@ -61,14 +61,6 @@ pub const IMG: i64 = 2048;
 /// # Errors
 /// Returns an error if an experiment fails.
 pub fn table1_exec() -> Result<ResultTable, BoxError> {
-    table1_exec_at(IMG)
-}
-
-/// [`table1_exec`] at an explicit image size (for the benches).
-///
-/// # Errors
-/// Returns an error if an experiment fails.
-pub fn table1_exec_at(img: i64) -> Result<ResultTable, BoxError> {
     let cpu32 = CpuModel::xeon_e5_2683_v4();
     let cpu1 = CpuModel::xeon_e5_2683_v4().with_threads(1);
     let gpu = GpuModel::quadro_p6000();
@@ -89,7 +81,7 @@ pub fn table1_exec_at(img: i64) -> Result<ResultTable, BoxError> {
         .collect(),
         rows: Vec::new(),
     };
-    let rows = par_map(polymage::all(img, img)?, effective_jobs(None), |w| {
+    let rows = par_map(polymage::all(IMG, IMG)?, effective_jobs(None), |w| {
         let naive = cpu_time(&cpu1, &summaries(&w, Version::Naive, TargetKind::Cpu)?)?.total;
         let pm = cpu_time(&cpu32, &summaries(&w, Version::PolyMage, TargetKind::Cpu)?)?.total;
         let ha = cpu_time(&cpu32, &summaries(&w, Version::Halide, TargetKind::Cpu)?)?.total;
@@ -158,16 +150,8 @@ pub fn table1_compile(maxfuse_budget: u64) -> Result<ResultTable, BoxError> {
 /// # Errors
 /// Returns an error if an experiment fails.
 pub fn fig8() -> Result<Vec<ResultTable>, BoxError> {
-    fig8_at(IMG)
-}
-
-/// [`fig8`] at an explicit image size (for the benches).
-///
-/// # Errors
-/// Returns an error if an experiment fails.
-pub fn fig8_at(img: i64) -> Result<Vec<ResultTable>, BoxError> {
     let threads = [1usize, 4, 16, 32];
-    let tables = par_map(polymage::all(img, img)?, effective_jobs(None), |w| {
+    let tables = par_map(polymage::all(IMG, IMG)?, effective_jobs(None), |w| {
         let base = cpu_time(
             &CpuModel::xeon_e5_2683_v4().with_threads(1),
             &summaries(&w, Version::Naive, TargetKind::Cpu)?,
@@ -329,14 +313,6 @@ pub fn table2() -> Result<Vec<ResultTable>, BoxError> {
 /// # Errors
 /// Returns an error if an experiment fails.
 pub fn fig10() -> Result<ResultTable, BoxError> {
-    fig10_at(IMG)
-}
-
-/// [`fig10`] at an explicit image size (for the benches).
-///
-/// # Errors
-/// Returns an error if an experiment fails.
-pub fn fig10_at(img: i64) -> Result<ResultTable, BoxError> {
     let gpu = GpuModel::quadro_p6000();
     let mut table = ResultTable {
         title: "Fig. 10 — PolyMage benchmarks on GPU (speedup over minfuse)".into(),
@@ -346,7 +322,7 @@ pub fn fig10_at(img: i64) -> Result<ResultTable, BoxError> {
             .collect(),
         rows: Vec::new(),
     };
-    let rows = par_map(polymage::all(img, img)?, effective_jobs(None), |w| {
+    let rows = par_map(polymage::all(IMG, IMG)?, effective_jobs(None), |w| {
         let base = gpu_time(&gpu, &summaries(&w, Version::MinFuse, TargetKind::Gpu)?)?.total;
         let mut cells = Vec::new();
         for v in [

@@ -81,8 +81,8 @@ static SUMMARY_MEMO: LazyLock<Mutex<HashMap<SummaryKey, Vec<ExecGroup>>>> =
     LazyLock::new(|| Mutex::new(HashMap::new()));
 
 /// Process-wide resource budget installed for every `optimize` call the
-/// experiment pipeline makes (the `--deadline-ms`/`--max-omega-branches`
-/// CLI flags land here). Defaults to unlimited.
+/// experiment pipeline makes (the `--deadline-ms` CLI flag lands here).
+/// Defaults to unlimited.
 static BUDGET: LazyLock<Mutex<Budget>> = LazyLock::new(|| Mutex::new(Budget::default()));
 
 /// Sets the resource budget used by [`summaries`] and [`compile_time`]

@@ -99,10 +99,9 @@ pub struct Options {
     /// Deliberate legality bug to inject (testing only; see
     /// [`FaultInjection`]).
     pub fault: FaultInjection,
-    /// Resource budget for the run (wall-clock deadline, Omega op/branch
-    /// budget, disjunct cap). Default: unlimited. On
-    /// exhaustion `optimize` degrades along its ladder instead of failing —
-    /// see [`crate::Report::degradation`].
+    /// Resource budget for the run (wall-clock deadline, Omega op grant).
+    /// Default: unlimited. On exhaustion `optimize` degrades along its
+    /// ladder instead of failing — see [`crate::Report::degradation`].
     pub budget: tilefuse_trace::Budget,
     /// Lowest ladder rung this run is allowed to *start* at (1 = full
     /// pipeline, the default). A supervisor retrying a failed attempt sets
@@ -183,11 +182,11 @@ pub struct BudgetTrip {
 }
 
 impl BudgetTrip {
-    /// Builds a trip from an absorbed error. Non-budget errors absorbed
-    /// under `governor::approximated()` (set algebra failing on a
-    /// capped-feasibility artifact) record the `"approximation"` limit.
-    pub(crate) fn from_error(e: &Error, fallback_phase: &'static str, detail: String) -> Self {
-        let (limit, phase) = e.budget_info().unwrap_or(("approximation", fallback_phase));
+    /// Builds a trip from an absorbed error. Only
+    /// [`degradable`](crate::optimize::degradable) errors are absorbed, and
+    /// those always carry their `(limit, phase)`.
+    pub(crate) fn from_error(e: &Error, detail: String) -> Self {
+        let (limit, phase) = e.budget_info().unwrap_or_default();
         BudgetTrip {
             phase,
             limit,
@@ -354,7 +353,6 @@ pub fn algorithm1(
                 Err(e) if crate::optimize::degradable(&e) => {
                     budget_trips.push(BudgetTrip::from_error(
                         &e,
-                        "algo1/exposed",
                         format!("dropped exposed footprint of array {}", arr.0),
                     ));
                     tilefuse_trace::governor::rearm();
@@ -439,15 +437,6 @@ pub fn algorithm1(
             let ext_span = tilefuse_trace::span!("algo1/extension", "stmt {}", s.0);
             let write = program.write_access(s)?;
             let ext = coalesced(&extension_schedule(&fp, &write)?)?;
-            if tilefuse_trace::governor::approximated() {
-                // Capped feasibility may have let an actually-empty piece
-                // survive into the extension; such junk can project to an
-                // unbounded hull only at *execution* time, far past any
-                // absorption point. Probing the hull here forces that
-                // failure now, where it degrades to dropping this one
-                // producer instead of failing the interpreter.
-                ext.as_wrapped_set().rect_hull(&params)?;
-            }
             // Recomputation budget (see Options::max_recompute): estimate how
             // many times the producer would re-execute across tiles.
             let over_budget =
@@ -506,7 +495,6 @@ pub fn algorithm1(
             Err(e) if crate::optimize::degradable(&e) => {
                 budget_trips.push(BudgetTrip::from_error(
                     &e,
-                    "algo1/extension",
                     format!("dropped fusion of statement {} (group {g})", s.0),
                 ));
                 untiled.insert(g);
@@ -590,12 +578,8 @@ const FOOTPRINT_DISJUNCT_CAP: usize = 12;
 /// (drop empty/subsumed disjuncts, merge adjacent ones), then a
 /// single-disjunct hull over-approximation when still over budget.
 fn coalesced(m: &Map) -> Result<Map> {
-    // A governor disjunct cap can only *shrink* the built-in budget
-    // (hulling earlier over-approximates more, which stays sound and is
-    // priced by max_recompute); it never loosens it.
-    let cap = FOOTPRINT_DISJUNCT_CAP.min(tilefuse_trace::governor::disjunct_cap());
     let mut s = m.as_wrapped_set().coalesce()?;
-    if s.n_basic() > cap {
+    if s.n_basic() > FOOTPRINT_DISJUNCT_CAP {
         s = s.simple_hull()?;
     }
     // Record the *kept* disjunct count (post-hull), so the report's peak

@@ -67,17 +67,16 @@ pub struct DegradationReport {
     /// Every budget exhaustion absorbed on the way down, in order: which
     /// phase tripped, which limit, and what was dropped in response.
     pub trips: Vec<BudgetTrip>,
-    /// Capped Omega feasibility calls answered conservatively (`feasible`)
-    /// during this run — the governor-scoped slice of
-    /// `tilefuse_presburger::stats::silent_feasible`.
+    /// Omega feasibility calls that hit the built-in branch cap and were
+    /// answered conservatively (`feasible`) during this run — the
+    /// governor-scoped slice of `tilefuse_presburger::stats::silent_feasible`.
     pub silent_feasible: u64,
     /// Omega operations (branch pops + projection steps) charged to the
     /// governor during this run.
     pub omega_ops: u64,
     /// Wall-clock spent inside the governed region, in milliseconds.
     pub elapsed_ms: f64,
-    /// Largest per-set disjunct count kept after footprint coalescing
-    /// (never exceeds the configured disjunct cap).
+    /// Largest per-set disjunct count kept after footprint coalescing.
     pub peak_disjuncts: usize,
     /// Whether the start-up `maxfuse` shift solver hit its step budget and
     /// fell back to a coarser grouping (sound, but less fusion).
@@ -158,25 +157,17 @@ pub fn optimize(program: &Program, opts: &Options) -> Result<Optimized> {
 }
 
 /// Whether `e` should be absorbed as a degradation step rather than
-/// propagated: either a cooperative budget-exhaustion signal, or any error
-/// produced after the governor's precision caps already forced a
-/// conservative approximation (exact analysis never fails the ways
-/// approximate analysis can — unbounded hulls, splintered projections —
-/// so those failures are consequences of the cap, not bugs). With no
-/// active governor, `approximated()` is always false and everything
-/// propagates.
+/// propagated: exactly the cooperative budget-exhaustion signals. The
+/// governor never makes set algebra less precise, so any other error is a
+/// bug and propagates, on every rung.
 ///
 /// A revoked [`tilefuse_trace::CancelToken`] (the `"cancelled"` limit) is
 /// explicitly *not* degradable: the supervisor revoked the whole run, so
 /// falling to a cheaper rung would keep burning a grant that no longer
 /// exists. It propagates as a budget-exhausted error for the caller.
 pub(crate) fn degradable(e: &Error) -> bool {
-    if e.budget_info()
-        .is_some_and(|(limit, _)| limit == tilefuse_trace::governor::CANCELLED)
-    {
-        return false;
-    }
-    e.is_budget_exhausted() || tilefuse_trace::governor::approximated()
+    e.budget_info()
+        .is_some_and(|(limit, _)| limit != tilefuse_trace::governor::CANCELLED)
 }
 
 /// The degradation ladder. Runs with a governor installed; each rung that
@@ -229,7 +220,6 @@ fn run_ladder(program: &Program, opts: &Options) -> Result<Optimized> {
             Err(e) if degradable(&e) => {
                 trips.push(BudgetTrip::from_error(
                     &e,
-                    "optimize",
                     "dropped fusion entirely: falling back to plain live-out tiling".into(),
                 ));
                 None
@@ -246,7 +236,6 @@ fn run_ladder(program: &Program, opts: &Options) -> Result<Optimized> {
             Err(e) if degradable(&e) => {
                 trips.push(BudgetTrip::from_error(
                     &e,
-                    "optimize/plain-tile",
                     "dropped tiling entirely: falling back to the untiled schedule".into(),
                 ));
                 None
@@ -339,13 +328,19 @@ fn optimize_inner(program: &Program, opts: &Options) -> Result<Optimized> {
 
     // Fixpoint over shared-intermediate conflicts.
     let mut excluded: BTreeSet<usize> = BTreeSet::new();
-    let mut rule2_trips: Vec<BudgetTrip> = Vec::new();
+    // Rung-2 trips: producer drops inside Algorithm 1 plus shared-slice
+    // proofs abandoned below. An empty list means rung 1. Collected per
+    // iteration, not from the final `mixed`: a producer dropped in a round
+    // the fixpoint redoes has already shaped `excluded`.
+    let mut trips: Vec<BudgetTrip> = Vec::new();
     let mut mixed: Vec<MixedSchedules>;
     loop {
         mixed = Vec::new();
         for &l in &liveouts {
             let producers = producers_of(l, &excluded);
-            mixed.push(algorithm1(program, &deps, &groups, l, &producers, opts)?);
+            let mut m = algorithm1(program, &deps, &groups, l, &producers, opts)?;
+            trips.append(&mut m.budget_trips);
+            mixed.push(m);
         }
         let mut new_conflicts: BTreeSet<usize> = BTreeSet::new();
         #[allow(clippy::needless_range_loop)] // index is the group id itself
@@ -416,9 +411,8 @@ fn optimize_inner(program: &Program, opts: &Options) -> Result<Optimized> {
                                         // sound direction — it only excludes
                                         // fusion. Re-arm so the rest of the
                                         // fixpoint gets a fresh grant.
-                                        rule2_trips.push(BudgetTrip::from_error(
+                                        trips.push(BudgetTrip::from_error(
                                             &e,
-                                            "algo3/rule2",
                                             format!(
                                                 "assumed shared-slice overlap for group {g}: \
                                                  excluded from fusion"
@@ -495,12 +489,6 @@ fn optimize_inner(program: &Program, opts: &Options) -> Result<Optimized> {
         }
     }
 
-    // Rung-2 trips: producer drops inside Algorithm 1 plus shared-slice
-    // proofs abandoned above. An empty list means rung 1.
-    let mut trips = rule2_trips;
-    for m in &mut mixed {
-        trips.append(&mut m.budget_trips);
-    }
     Ok(Optimized {
         tree,
         report: Report {

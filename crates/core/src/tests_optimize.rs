@@ -208,3 +208,28 @@ fn recomputation_factor_is_one_for_pointwise_fusion() {
         "pointwise fusion has no overlap"
     );
 }
+
+/// Budgets stop work, they never change answers: even under an enforcing
+/// governor, the ladder absorbs budget exhaustion and nothing else.
+#[test]
+fn only_budget_exhaustion_is_degradable() {
+    use crate::error::{checkpoint, Error};
+    use crate::optimize::degradable;
+    use tilefuse_trace::governor::{install_with_cancel, Budget, CancelToken};
+
+    let token = CancelToken::new();
+    let expired = Budget {
+        deadline_ms: Some(0),
+        ..Budget::default()
+    };
+    let _g = install_with_cancel(&expired, Some(token.clone()));
+    assert!(!degradable(&Error::Internal("a bug".into())));
+    assert!(!degradable(&Error::InvalidInput("bad input".into())));
+    let deadline = checkpoint("test/phase").unwrap_err();
+    assert_eq!(deadline.budget_info(), Some(("deadline", "test/phase")));
+    assert!(degradable(&deadline));
+    token.cancel();
+    let cancelled = checkpoint("test/phase").unwrap_err();
+    assert!(cancelled.is_budget_exhausted());
+    assert!(!degradable(&cancelled), "a revoked run must not degrade");
+}

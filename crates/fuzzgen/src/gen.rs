@@ -104,16 +104,14 @@ pub fn random_spec(rng: &mut Rng) -> ProgramSpec {
 
 /// Draws a random — deliberately aggressive — resource budget for the
 /// `--budget-fuzz` soak mode. The distribution is skewed toward budgets
-/// that WILL trip (zero-op grants, 1 ms deadlines, single-digit branch
-/// caps) because the property under test is the degradation ladder, not
-/// the happy path; `None` entries keep a share of effectively-unlimited
-/// axes so rung-1 runs stay in the mix.
+/// that WILL trip (zero-op grants, 1 ms deadlines) because the property
+/// under test is the degradation ladder, not the happy path; `None`
+/// entries keep a share of effectively-unlimited axes so rung-1 runs stay
+/// in the mix.
 pub fn random_budget(rng: &mut Rng) -> tilefuse_trace::Budget {
     tilefuse_trace::Budget {
         deadline_ms: *rng.pick(&[None, None, Some(0), Some(1), Some(5), Some(50)]),
         max_omega_ops: *rng.pick(&[None, Some(0), Some(1), Some(100), Some(10_000)]),
-        max_branches_per_call: *rng.pick(&[None, Some(1), Some(8), Some(64)]),
-        max_disjuncts: *rng.pick(&[None, Some(1), Some(2), Some(6)]),
     }
 }
 

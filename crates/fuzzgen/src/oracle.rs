@@ -264,17 +264,6 @@ pub fn run_oracle(spec: &ProgramSpec, cfg: &OracleConfig) -> Result<(), Failure>
             ),
         ));
     }
-    if let Some(cap) = cfg.budget.as_ref().and_then(|b| b.max_disjuncts) {
-        if deg.peak_disjuncts > cap {
-            return Err(fail(
-                "degradation-report",
-                format!(
-                    "peak disjunct count {} exceeds the configured cap {cap}",
-                    deg.peak_disjuncts
-                ),
-            ));
-        }
-    }
 
     // Exact legality re-check of the transformed tree. Fused producers
     // carry multi-valued schedule relations (one instance recomputed in
@@ -725,11 +714,6 @@ mod tests {
             },
             tilefuse_trace::Budget {
                 deadline_ms: Some(0),
-                ..tilefuse_trace::Budget::default()
-            },
-            tilefuse_trace::Budget {
-                max_branches_per_call: Some(1),
-                max_disjuncts: Some(2),
                 ..tilefuse_trace::Budget::default()
             },
         ] {

@@ -198,11 +198,6 @@ fn budget_to_value(b: &Budget) -> Value {
     };
     put("deadline_ms", b.deadline_ms);
     put("max_omega_ops", b.max_omega_ops);
-    put(
-        "max_branches_per_call",
-        b.max_branches_per_call.map(|n| n as u64),
-    );
-    put("max_disjuncts", b.max_disjuncts.map(|n| n as u64));
     Value::Obj(o)
 }
 

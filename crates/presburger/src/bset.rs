@@ -241,8 +241,7 @@ impl BasicSet {
         // skips both the Omega test and the memo-table machinery.
         if memo && self.interval_empty() {
             // The diagnostic cross-check must use the *ungoverned* Omega
-            // variant: a governor branch cap would both consume budget and
-            // return a conservative "feasible" that fires this assert.
+            // variant so it consumes no budget.
             debug_assert!(
                 !omega::feasible_unbounded(&self.to_system())?,
                 "interval_empty wrongly claimed empty: eqs={:?} ineqs={:?}",
@@ -276,20 +275,10 @@ impl BasicSet {
                 canon_key = Some(ck);
             }
             if hit.is_none() {
-                let sat = {
+                let v = {
                     let _timer = crate::stats::op_timer(crate::stats::Op::IsEmpty);
-                    omega::feasible_sat(&canon.to_system())?
+                    !omega::feasible(&canon.to_system())?
                 };
-                if sat == omega::Sat::CappedFeasible {
-                    // Budget-capped conservative answer: sound to act on
-                    // (non-empty keeps dependences and excludes fusion) but
-                    // not a fact about the set, so it must not pollute the
-                    // memo table or the inline emptiness flag — a later
-                    // uncapped run must be free to compute the exact answer.
-                    crate::stats::record(crate::stats::Op::IsEmpty, false);
-                    return Ok(false);
-                }
-                let v = sat == omega::Sat::Infeasible;
                 if let Some(ck) = canon_key {
                     cache::insert(ck, v);
                 }

@@ -184,30 +184,11 @@ impl System {
 /// Elimination budget: a guard against pathological splinter recursion.
 const MAX_BRANCHES: usize = 4096;
 
-/// Three-valued answer from the governed Omega test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Sat {
-    /// Definitely satisfiable (an assignment exists).
-    Feasible,
-    /// Definitely unsatisfiable (exact answer).
-    Infeasible,
-    /// A governor branch cap *below* the built-in `MAX_BRANCHES` was hit:
-    /// the conservative "feasible" answer. Correct to act on (non-empty is
-    /// the sound direction everywhere in this codebase) but not a fact
-    /// about the system — callers must not memoize it. The default-cap
-    /// fallback stays `Feasible` because it is deterministic process-wide.
-    CappedFeasible,
-}
-
-/// Exact integer feasibility of `sys` with *all* variables existential.
-/// `Ok(true)` on both exact and capped-conservative feasibility.
+/// Integer feasibility of `sys` with *all* variables existential: exact,
+/// except that a search past `MAX_BRANCHES` answers the conservative
+/// `Ok(true)` (deterministic process-wide, counted via `stats`). Charges
+/// the governor per elimination step.
 pub(crate) fn feasible(sys: &System) -> Result<bool> {
-    Ok(feasible_sat(sys)? != Sat::Infeasible)
-}
-
-/// Governed feasibility: charges the governor per elimination step, honors
-/// its per-call branch cap, and reports cap hits via `stats`.
-pub(crate) fn feasible_sat(sys: &System) -> Result<Sat> {
     feasible_impl(sys, true)
 }
 
@@ -216,15 +197,10 @@ pub(crate) fn feasible_sat(sys: &System) -> Result<Sat> {
 /// consistency check can neither trip the governor nor skew its accounting.
 #[allow(dead_code)] // referenced only from debug_assert! expressions
 pub(crate) fn feasible_unbounded(sys: &System) -> Result<bool> {
-    Ok(feasible_impl(sys, false)? != Sat::Infeasible)
+    feasible_impl(sys, false)
 }
 
-fn feasible_impl(sys: &System, governed: bool) -> Result<Sat> {
-    let cap = if governed {
-        MAX_BRANCHES.min(tilefuse_trace::governor::branch_cap())
-    } else {
-        MAX_BRANCHES
-    };
+fn feasible_impl(sys: &System, governed: bool) -> Result<bool> {
     let mut work = vec![sys.clone()];
     let mut steps = 0usize;
     while let Some(mut s) = work.pop() {
@@ -232,24 +208,20 @@ fn feasible_impl(sys: &System, governed: bool) -> Result<Sat> {
         if governed {
             tilefuse_trace::governor::tick_omega(1)?;
         }
-        if steps > cap {
+        if steps > MAX_BRANCHES {
             // Conservative answer: treat as feasible (never claims empty
             // wrongly, so legality checks stay sound). Counted instead of
             // silent so over-approximation is observable.
             if governed {
                 crate::stats::record_silent_feasible();
             }
-            return Ok(if cap < MAX_BRANCHES {
-                Sat::CappedFeasible
-            } else {
-                Sat::Feasible
-            });
+            return Ok(true);
         }
         if !s.normalize() {
             continue;
         }
         match s.triage() {
-            Some(true) => return Ok(Sat::Feasible),
+            Some(true) => return Ok(true),
             Some(false) => continue,
             None => {}
         }
@@ -265,7 +237,7 @@ fn feasible_impl(sys: &System, governed: bool) -> Result<Sat> {
             work.push(branch);
         }
     }
-    Ok(Sat::Infeasible)
+    Ok(false)
 }
 
 /// Chooses the next variable to eliminate.

@@ -82,7 +82,7 @@ pub(crate) fn record_silent_feasible() {
 }
 
 /// Times the Omega test fell back to the conservative "feasible" answer at
-/// its branch cap (built-in or governor-shrunk) since the last [`reset`].
+/// its built-in branch cap since the last [`reset`].
 /// Non-zero means some emptiness answers were over-approximated — still
 /// sound, but observable here instead of silent.
 pub fn silent_feasible() -> u64 {

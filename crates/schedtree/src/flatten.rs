@@ -147,8 +147,14 @@ fn walk(
         }
         Node::Sequence { children } => {
             for (i, c) in children.iter().enumerate() {
-                let mut extended = Vec::with_capacity(actives.len());
-                for a in actives {
+                // A filter child keeps only the actives it names: extending
+                // the rest is work its first step throws away.
+                let named = |a: &&Active| match c {
+                    Node::Filter { filter, .. } => filter.part_named(&a.name).is_some(),
+                    _ => true,
+                };
+                let mut extended = Vec::new();
+                for a in actives.iter().filter(named) {
                     let k = const_map(a.domain.space(), &[i as i64])?;
                     let mut flags = a.flags.clone();
                     flags.push(false);

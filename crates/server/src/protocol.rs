@@ -132,8 +132,6 @@ pub fn parse_request(v: &Value) -> Result<Request, ServerError> {
                 Some(b) => Some(Budget {
                     deadline_ms: get_u64(b, "deadline_ms"),
                     max_omega_ops: get_u64(b, "max_omega_ops"),
-                    max_branches_per_call: get_u64(b, "max_branches_per_call").map(|n| n as usize),
-                    max_disjuncts: get_u64(b, "max_disjuncts").map(|n| n as usize),
                 }),
             };
             let fault = parse_fault(v.get("fault"))?;
@@ -644,9 +642,10 @@ mod tests {
     }
 
     /// Old clients and on-disk quarantine artifacts may still carry the
-    /// retired interner cap; the key is ignored, not rejected.
+    /// retired interner and precision caps; the keys are ignored, not
+    /// rejected.
     #[test]
-    fn retired_budget_key_is_ignored() {
+    fn retired_budget_keys_are_ignored() {
         let frame = |budget: &str| {
             let text = format!(
                 r#"{{"op":"optimize","id":4,"budget":{budget},
@@ -659,10 +658,19 @@ mod tests {
                 other => panic!("wrong parse: {other:?}"),
             }
         };
-        let old = frame(r#"{"max_omega_ops":1000,"max_disjuncts":6,"max_interned_rows":256}"#);
-        let new = frame(r#"{"max_omega_ops":1000,"max_disjuncts":6}"#);
+        let old = frame(
+            r#"{"max_omega_ops":1000,"max_disjuncts":6,"max_branches_per_call":1,
+                "max_interned_rows":256}"#,
+        );
+        let new = frame(r#"{"max_omega_ops":1000}"#);
         assert_eq!(old, new);
-        assert_eq!(old.unwrap().max_disjuncts, Some(6));
+        assert_eq!(
+            old,
+            Some(Budget {
+                deadline_ms: None,
+                max_omega_ops: Some(1000),
+            })
+        );
     }
 
     #[test]

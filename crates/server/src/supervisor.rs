@@ -6,7 +6,7 @@
 //! deadline passes — cross-thread revocation that the optimizer observes
 //! at its next governor checkpoint, mid-phase, as a `"cancelled"` budget
 //! exhaustion. The supervisor then retries with exponential backoff and a
-//! *tighter* grant: the budget caps are halved and `min_rung` forces
+//! *tighter* grant: both budget limits are halved and `min_rung` forces
 //! entry below the rung that already failed (3 = plain live-out tiling,
 //! then 4 = the untiled floor), so a retry never re-pays for work the
 //! first attempt already proved unaffordable. Panics are different —
@@ -395,7 +395,11 @@ impl Supervisor {
                     });
                     match execute_plan(program, &plan, &req.spec) {
                         Ok(digest) => {
-                            if !faulted && attempt == 0 {
+                            // The key excludes the budget, so only a plan
+                            // no budget shaped may be shared: rung 1 without
+                            // trips is what an ungoverned run returns.
+                            let deg = &plan.report.degradation;
+                            if !faulted && deg.rung == 1 && deg.trips.is_empty() {
                                 self.cache.insert(key, Arc::new(plan.clone()));
                             }
                             supervision.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -573,8 +577,6 @@ pub fn tighten(b: &Budget) -> Budget {
     Budget {
         deadline_ms: b.deadline_ms.map(|n| (n / 2).max(1)),
         max_omega_ops: b.max_omega_ops.map(|n| (n / 2).max(1)),
-        max_branches_per_call: b.max_branches_per_call.map(|n| (n / 2).max(1)),
-        max_disjuncts: b.max_disjuncts.map(|n| (n / 2).max(1)),
     }
 }
 
@@ -736,13 +738,16 @@ mod tests {
     #[test]
     fn tighten_halves_only_finite_caps() {
         let b = Budget {
-            deadline_ms: Some(100),
+            deadline_ms: None,
             max_omega_ops: Some(1),
-            ..Budget::default()
         };
         let t = tighten(&b);
-        assert_eq!(t.deadline_ms, Some(50));
+        assert_eq!(t.deadline_ms, None);
         assert_eq!(t.max_omega_ops, Some(1), "floor of 1");
-        assert_eq!(t.max_disjuncts, None);
+        let t = tighten(&Budget {
+            deadline_ms: Some(100),
+            max_omega_ops: None,
+        });
+        assert_eq!((t.deadline_ms, t.max_omega_ops), (Some(50), None));
     }
 }

@@ -160,6 +160,50 @@ fn ping_optimize_cache_and_stats_over_the_wire() {
     d.shutdown();
 }
 
+/// The plan key excludes the budget, so a plan a tight budget degraded
+/// must not be cached: the next unbudgeted request for the same pipeline
+/// would be served the untiled floor as a hit.
+#[test]
+fn budget_degraded_plan_does_not_poison_the_cache() {
+    let d = TestDaemon::start("poison", 1, 16);
+    let mut s = d.connect();
+    let cache_of = |r: &Value| {
+        let c = r.get("supervision").unwrap().get("cache").unwrap();
+        c.as_str().unwrap().to_string()
+    };
+
+    let tight = d.request(
+        &mut s,
+        &format!(
+            r#"{{"op":"optimize","id":1,"budget":{{"max_omega_ops":0}},"spec":{}}}"#,
+            spec_json(8)
+        ),
+    );
+    assert_eq!(
+        tight.get("status").unwrap().as_str(),
+        Some("ok"),
+        "{tight:?}"
+    );
+    assert_eq!(tight.get("rung").unwrap().as_num(), Some(4.0), "{tight:?}");
+    assert_eq!(cache_of(&tight), "miss");
+
+    let plain = format!(r#"{{"op":"optimize","id":2,"spec":{}}}"#, spec_json(8));
+    let first = d.request(&mut s, &plain);
+    assert_eq!(first.get("rung").unwrap().as_num(), Some(1.0), "{first:?}");
+    assert_eq!(cache_of(&first), "miss", "degraded plan was cached");
+    let second = d.request(&mut s, &plain);
+    assert_eq!(second.get("rung").unwrap().as_num(), Some(1.0));
+    assert_eq!(cache_of(&second), "hit");
+    assert_eq!(second.get("digest"), first.get("digest"));
+    assert_eq!(
+        tight.get("digest"),
+        first.get("digest"),
+        "every rung is exact"
+    );
+
+    d.shutdown();
+}
+
 #[test]
 fn panic_is_quarantined_and_fast_rejected_across_connections() {
     let d = TestDaemon::start("quarantine", 1, 16);

@@ -12,11 +12,9 @@
 //!   an inactive governor costs one `Cell::get` per tick. No atomics, no
 //!   locks, no `RefCell` borrow flags on the hot path.
 //! - **Sound degradation only.** The governor never changes *answers*; it
-//!   only stops work. Precision caps (branch/disjunct) are exposed as
-//!   [`branch_cap`]/[`disjunct_cap`] hints that shrink existing conservative
-//!   fallbacks, whose approximation direction is already sound everywhere in
-//!   this codebase (capped feasibility reports "maybe satisfiable", which
-//!   keeps dependences and excludes fusion — pessimistic, never wrong).
+//!   only stops work. Every limit raises [`Exhausted`]; none makes set
+//!   algebra less precise, so a governed run that never trips computes
+//!   exactly what an ungoverned run computes.
 //! - **Ladder liveness.** A blown deadline would poison every subsequent
 //!   governed operation, so fallback rungs call [`rearm`] (fresh grant) and
 //!   the final rung runs [`disarm`]ed (accounting continues, enforcement
@@ -42,12 +40,6 @@ pub struct Budget {
     pub deadline_ms: Option<u64>,
     /// Total Omega elimination steps across the run.
     pub max_omega_ops: Option<u64>,
-    /// Branch cap for a *single* `omega::feasible` call; shrinks the
-    /// built-in `MAX_BRANCHES` conservative fallback (never enlarges it).
-    pub max_branches_per_call: Option<usize>,
-    /// Peak disjunct (basic-set) count tolerated in footprint/extension
-    /// sets; shrinks the built-in coalescing cap (never enlarges it).
-    pub max_disjuncts: Option<usize>,
 }
 
 impl Budget {
@@ -182,8 +174,8 @@ impl Default for CancelToken {
 pub struct Consumed {
     /// Omega elimination steps charged via [`tick_omega`].
     pub omega_ops: u64,
-    /// Times a feasibility call hit its branch cap and fell back to the
-    /// conservative "feasible" answer.
+    /// Times a feasibility call hit the built-in branch cap and fell back
+    /// to the conservative "feasible" answer.
     pub silent_feasible: u64,
     /// Peak disjunct count observed via [`note_disjuncts`].
     pub peak_disjuncts: usize,
@@ -202,8 +194,6 @@ thread_local! {
     static ENFORCING: Cell<bool> = const { Cell::new(false) };
     static OMEGA_OPS: Cell<u64> = const { Cell::new(0) };
     static OMEGA_CAP: Cell<u64> = const { Cell::new(u64::MAX) };
-    static BRANCH_CAP: Cell<usize> = const { Cell::new(usize::MAX) };
-    static DISJUNCT_CAP: Cell<usize> = const { Cell::new(usize::MAX) };
     static PEAK_DISJUNCTS: Cell<usize> = const { Cell::new(0) };
     static SILENT: Cell<u64> = const { Cell::new(0) };
     static DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
@@ -238,8 +228,6 @@ struct Saved {
     enforcing: bool,
     omega_ops: u64,
     omega_cap: u64,
-    branch_cap: usize,
-    disjunct_cap: usize,
     peak_disjuncts: usize,
     silent: u64,
     deadline: Option<Instant>,
@@ -274,8 +262,6 @@ impl Drop for GovernorGuard {
             PEAK_DISJUNCTS.with(|c| c.set(self.prev.peak_disjuncts));
         }
         OMEGA_CAP.with(|c| c.set(self.prev.omega_cap));
-        BRANCH_CAP.with(|c| c.set(self.prev.branch_cap));
-        DISJUNCT_CAP.with(|c| c.set(self.prev.disjunct_cap));
         DEADLINE.with(|c| c.set(self.prev.deadline));
         CEIL.with(|c| c.set(self.prev.ceil));
         GRANT.with(|c| c.set(self.prev.grant));
@@ -299,11 +285,11 @@ fn min_deadline(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
 ///
 /// Nested installs **compose, tightest limit wins**: an inner install
 /// under an enforcing outer governor gets at most the outer's *remaining*
-/// Omega grant, the minimum of the two deadlines (including through
-/// [`rearm`], which clamps to the enclosing window), and the minimum of
-/// each precision cap — so an inner `Budget::unlimited()` can no longer
-/// silently lift the outer's limits. On guard drop the inner region's
-/// consumption is added back to the outer ledger.
+/// Omega grant and the minimum of the two deadlines (including through
+/// [`rearm`], which clamps to the enclosing window) — so an inner
+/// `Budget::unlimited()` can no longer silently lift the outer's limits.
+/// On guard drop the inner region's consumption is added back to the outer
+/// ledger.
 #[must_use]
 pub fn install(budget: &Budget) -> GovernorGuard {
     install_with_cancel(budget, None)
@@ -322,8 +308,6 @@ pub fn install_with_cancel(budget: &Budget, cancel: Option<CancelToken>) -> Gove
         enforcing: ENFORCING.with(Cell::get),
         omega_ops: OMEGA_OPS.with(Cell::get),
         omega_cap: OMEGA_CAP.with(Cell::get),
-        branch_cap: BRANCH_CAP.with(Cell::get),
-        disjunct_cap: DISJUNCT_CAP.with(Cell::get),
         peak_disjuncts: PEAK_DISJUNCTS.with(Cell::get),
         silent: SILENT.with(Cell::get),
         deadline: DEADLINE.with(Cell::get),
@@ -346,7 +330,6 @@ pub fn install_with_cancel(budget: &Budget, cancel: Option<CancelToken>) -> Gove
     } else {
         u64::MAX
     };
-    let outer_cap = |cap: usize| if outer_enforcing { cap } else { usize::MAX };
     let pushed_cancel = cancel.is_some();
     if let Some(t) = cancel {
         CANCELS.with(|c| c.borrow_mut().push(t));
@@ -360,22 +343,6 @@ pub fn install_with_cancel(budget: &Budget, cancel: Option<CancelToken>) -> Gove
                 .max_omega_ops
                 .unwrap_or(u64::MAX)
                 .min(outer_remaining_ops),
-        )
-    });
-    BRANCH_CAP.with(|c| {
-        c.set(
-            budget
-                .max_branches_per_call
-                .unwrap_or(usize::MAX)
-                .min(outer_cap(prev.branch_cap)),
-        )
-    });
-    DISJUNCT_CAP.with(|c| {
-        c.set(
-            budget
-                .max_disjuncts
-                .unwrap_or(usize::MAX)
-                .min(outer_cap(prev.disjunct_cap)),
         )
     });
     PEAK_DISJUNCTS.with(|c| c.set(0));
@@ -492,49 +459,10 @@ pub fn rearm() {
     DEADLINE.with(|c| c.set(min_deadline(grant.map(|d| Instant::now() + d), ceil)));
 }
 
-/// Stops enforcement (accounting continues) and lifts the precision caps.
-/// The last ladder rung runs disarmed so it always completes — and with
-/// exact set algebra, so no capped approximation can fail it either.
+/// Stops enforcement (accounting continues). The last ladder rung runs
+/// disarmed so it always completes.
 pub fn disarm() {
     ENFORCING.with(|c| c.set(false));
-    BRANCH_CAP.with(|c| c.set(usize::MAX));
-    DISJUNCT_CAP.with(|c| c.set(usize::MAX));
-}
-
-/// Whether the installed governor's precision caps have forced at least
-/// one conservatively-approximated feasibility answer in this region.
-///
-/// Downstream set algebra may then fail in ways exact analysis never does
-/// (a kept-but-actually-empty piece projecting to an unbounded hull, say):
-/// the degradation ladder treats *any* error as a budget trip while this
-/// is true, because the analysis result was already best-effort. Without
-/// an active governor this is always `false`, so genuine bugs in
-/// ungoverned runs propagate unchanged.
-#[must_use]
-pub fn approximated() -> bool {
-    ACTIVE.with(Cell::get) && SILENT.with(Cell::get) > 0
-}
-
-/// Effective per-call branch cap for `omega::feasible` (`usize::MAX` when
-/// uncapped). Callers must `min` this with their built-in cap.
-#[must_use]
-pub fn branch_cap() -> usize {
-    if ACTIVE.with(Cell::get) {
-        BRANCH_CAP.with(Cell::get)
-    } else {
-        usize::MAX
-    }
-}
-
-/// Effective disjunct cap for footprint coalescing (`usize::MAX` when
-/// uncapped). Callers must `min` this with their built-in cap.
-#[must_use]
-pub fn disjunct_cap() -> usize {
-    if ACTIVE.with(Cell::get) {
-        DISJUNCT_CAP.with(Cell::get)
-    } else {
-        usize::MAX
-    }
 }
 
 /// Records one silent conservative feasibility fallback.
@@ -603,8 +531,6 @@ mod tests {
         assert!(!active());
         assert!(tick_omega(1_000_000).is_ok());
         assert!(checkpoint("anything").is_ok());
-        assert_eq!(branch_cap(), usize::MAX);
-        assert_eq!(disjunct_cap(), usize::MAX);
     }
 
     #[test]
@@ -670,22 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn caps_are_visible_while_installed_and_restored_after() {
-        let budget = Budget {
-            max_branches_per_call: Some(8),
-            max_disjuncts: Some(2),
-            ..Budget::default()
-        };
-        {
-            let _g = install(&budget);
-            assert_eq!(branch_cap(), 8);
-            assert_eq!(disjunct_cap(), 2);
-        }
-        assert!(!active());
-        assert_eq!(branch_cap(), usize::MAX);
-    }
-
-    #[test]
     fn nested_install_restores_outer_budget_and_composes_accounting() {
         let outer = Budget {
             max_omega_ops: Some(100),
@@ -708,45 +618,22 @@ mod tests {
     }
 
     #[test]
-    fn nested_unlimited_install_cannot_lift_outer_caps() {
+    fn nested_unlimited_install_cannot_lift_outer_grant() {
         // The historical hazard: an inner `install(&unlimited)` replaced
-        // the outer caps wholesale, so everything in the inner region ran
+        // the outer limits wholesale, so everything in the inner region ran
         // ungoverned. Composition keeps the outer's remaining grant.
         let outer = Budget {
             max_omega_ops: Some(10),
-            max_branches_per_call: Some(8),
-            max_disjuncts: Some(4),
             ..Budget::default()
         };
         let _g = install(&outer);
         tick_omega(6).unwrap();
         {
             let _g2 = install(&Budget::unlimited());
-            // Precision caps survive into the inner region...
-            assert_eq!(branch_cap(), 8);
-            assert_eq!(disjunct_cap(), 4);
-            // ...and the inner grant is only what the outer had left.
+            // The inner grant is only what the outer had left.
             assert!(tick_omega(4).is_ok());
             assert!(tick_omega(1).is_err());
         }
-    }
-
-    #[test]
-    fn nested_tighter_budget_wins_over_outer() {
-        let outer = Budget {
-            max_branches_per_call: Some(64),
-            ..Budget::default()
-        };
-        let _g = install(&outer);
-        {
-            let inner = Budget {
-                max_branches_per_call: Some(4),
-                ..Budget::default()
-            };
-            let _g2 = install(&inner);
-            assert_eq!(branch_cap(), 4);
-        }
-        assert_eq!(branch_cap(), 64);
     }
 
     #[test]
@@ -829,7 +716,6 @@ mod tests {
         let budget = Budget {
             deadline_ms: Some(0),
             max_omega_ops: None,
-            ..Budget::default()
         };
         let _g = install(&budget);
         // Below the stride no deadline poll happens...
