@@ -372,15 +372,16 @@ pub fn algorithm1(
             .position(|g| g.stmts.contains(&s))
             .ok_or_else(|| Error::InvalidInput(format!("statement {} belongs to no group", s.0)))
     };
-    let reads_array = |s: StmtId, arr: ArrayId| -> bool {
-        program
-            .stmt(s)
-            .body()
-            .rhs
-            .loads()
-            .iter()
-            .any(|&(a, _)| a == arr)
-    };
+    // Readers per array: the consumer-order search below asks about every
+    // remaining statement at every step.
+    let mut readers: BTreeMap<ArrayId, BTreeSet<StmtId>> = BTreeMap::new();
+    for (i, st) in program.stmts().iter().enumerate() {
+        for (a, _) in st.body().rhs.loads() {
+            readers.entry(a).or_default().insert(StmtId(i));
+        }
+    }
+    let readers_of = |arr: ArrayId| readers.get(&arr).into_iter().flatten().copied();
+    let reads_array = |s: StmtId, arr: ArrayId| readers.get(&arr).is_some_and(|r| r.contains(&s));
     loop {
         // Consumer-before-producer order: a statement's extension is
         // computed from the footprint of its target array, so every fused
@@ -391,7 +392,7 @@ pub fn algorithm1(
         // reader-free one exists (cyclic array dataflow).
         let strict = remaining.iter().copied().find(|&s| {
             let t = program.stmt(s).body().target;
-            needed.contains_key(&t) && !remaining.iter().any(|&o| o != s && reads_array(o, t))
+            needed.contains_key(&t) && !readers_of(t).any(|o| o != s && remaining.contains(&o))
         });
         let Some(s) = strict.or_else(|| {
             remaining
@@ -449,25 +450,31 @@ pub fn algorithm1(
             // (line 15) so transitive producers can be tiled too.
             let _chain_span = tilefuse_trace::span!("algo1/chain", "stmt {}", s.0);
             crate::error::checkpoint("algo1/chain")?;
-            let mut updates: Vec<(ArrayId, Map)> = Vec::new();
+            let compose_span = tilefuse_trace::span!("algo1/chain/compose");
+            let mut extras: Vec<(ArrayId, Map)> = Vec::new();
             for &arr in &producer_targets {
                 if arr == target {
                     continue;
                 }
                 if let Some(extra) = chained_footprint(program, s, &ext, arr)? {
-                    if extra.is_empty()? {
-                        continue;
+                    if !extra.is_empty()? {
+                        extras.push((arr, extra));
                     }
-                    // Coalesce after every union: deep multi-consumer DAGs
-                    // (pyramids) otherwise snowball near-duplicate disjuncts —
-                    // each level's point read is subsumed by its stencil
-                    // sibling's halo read.
-                    let merged = match needed.get(&arr) {
-                        Some(m) => m.union(&extra)?,
-                        None => extra,
-                    };
-                    updates.push((arr, coalesced(&merged)?));
                 }
+            }
+            drop(compose_span);
+            let _coalesce_span = tilefuse_trace::span!("algo1/chain/coalesce");
+            let mut updates: Vec<(ArrayId, Map)> = Vec::new();
+            for (arr, extra) in extras {
+                // Coalesce after every union: deep multi-consumer DAGs
+                // (pyramids) otherwise snowball near-duplicate disjuncts —
+                // each level's point read is subsumed by its stencil
+                // sibling's halo read.
+                let merged = match needed.get(&arr) {
+                    Some(m) => m.union(&extra)?,
+                    None => extra,
+                };
+                updates.push((arr, coalesced(&merged)?));
             }
             Ok(Some((ext, updates)))
         })();
@@ -528,19 +535,22 @@ pub fn algorithm1(
     // An unfused reader would consume an array nobody writes any more.
     // Dropping a group can strand new readers, so iterate to a fixpoint.
     loop {
+        let unfused: Vec<usize> = producers
+            .iter()
+            .copied()
+            .filter(|h| !fused_groups.contains(h))
+            .collect();
         let stale = fused_groups.iter().copied().find(|&g| {
             let written: BTreeSet<ArrayId> = groups[g]
                 .stmts
                 .iter()
                 .map(|&s| program.stmt(s).body().target)
                 .collect();
-            producers.iter().any(|&h| {
-                h != g
-                    && !fused_groups.contains(&h)
-                    && groups[h]
-                        .stmts
-                        .iter()
-                        .any(|&s| written.iter().any(|&a| reads_array(s, a)))
+            unfused.iter().any(|&h| {
+                groups[h]
+                    .stmts
+                    .iter()
+                    .any(|&s| written.iter().any(|&a| reads_array(s, a)))
             })
         });
         match stale {

@@ -5,7 +5,9 @@
 //! fusion, live-out tiling, extension-schedule construction, Algorithm 2/3
 //! grafting, interpretation — and fails on the *first* of:
 //!
-//! 1. a build/optimize/codegen error;
+//! 1. a build/optimize/codegen error, or an optimize run in which Omega's
+//!    built-in branch cap answered "feasible" without proof
+//!    (`silent-feasible`, read from that run's `DegradationReport`);
 //! 2. the exact legality checker rejecting the transformed tree;
 //! 3. live-out buffers differing **bit-exactly** (tolerance 0) from the
 //!    reference interpretation of the original program;
@@ -50,7 +52,7 @@ use tilefuse_codegen::{
     check_outputs_match, execute_compiled, execute_tree, execute_tree_dag_with, lower_tree,
     reference_execute, ExecBackend, ExecStats,
 };
-use tilefuse_core::{optimize, FaultInjection, Optimized, Options};
+use tilefuse_core::{optimize, DegradationReport, FaultInjection, Optimized, Options};
 use tilefuse_pir::Program;
 use tilefuse_presburger::stats as pstats;
 use tilefuse_schedtree::flatten;
@@ -191,6 +193,24 @@ fn nonzero(counts: &BTreeMap<String, u64>) -> BTreeMap<&str, u64> {
         .collect()
 }
 
+/// Fails when Omega's built-in branch cap answered "feasible" without proof
+/// during the run: every later check would rest on an unproven emptiness
+/// answer. Reads the run's own (thread-local) count, so concurrent oracles
+/// cannot blame each other.
+fn check_proven(deg: &DegradationReport) -> Result<(), Failure> {
+    if deg.silent_feasible > 0 {
+        return Err(fail(
+            "silent-feasible",
+            format!(
+                "{} Omega feasibility call(s) hit the branch cap and were answered \
+                 \"feasible\" without proof",
+                deg.silent_feasible
+            ),
+        ));
+    }
+    Ok(())
+}
+
 /// One full pipeline run: optimize + sequential interpretation.
 struct PipelineRun {
     optimized: Optimized,
@@ -204,6 +224,7 @@ fn run_pipeline(
     overrides: &[(&str, i64)],
 ) -> Result<PipelineRun, Failure> {
     let optimized = optimize(program, opts).map_err(|e| fail("optimize", e))?;
+    check_proven(&optimized.report.degradation)?;
     let (context, stats) = execute_tree(
         program,
         &optimized.tree,
@@ -724,6 +745,34 @@ mod tests {
             run_oracle(&chain_spec(), &cfg)
                 .unwrap_or_else(|e| panic!("budget {budget:?}: oracle failed: {e}"));
         }
+    }
+
+    #[test]
+    fn unproven_feasibility_is_its_own_failure() {
+        // Omega's branch cap has no honest trigger at fuzz sizes, so the
+        // check is driven with a report as a capped run would carry it.
+        let clean = DegradationReport::default();
+        check_proven(&clean).unwrap();
+        let capped = DegradationReport {
+            silent_feasible: 3,
+            ..DegradationReport::default()
+        };
+        let f = check_proven(&capped).unwrap_err();
+        assert_eq!(f.check, "silent-feasible");
+        assert_eq!(
+            f.class(),
+            "silent-feasible",
+            "not folded into another class"
+        );
+        assert!(f.detail.starts_with("3 Omega feasibility call(s)"), "{f}");
+        // A real run reports its own count, and on this spec it is 0.
+        let program = build_program(&chain_spec()).unwrap();
+        let o = optimize(
+            &program,
+            &options_for(&chain_spec(), &OracleConfig::default()),
+        )
+        .unwrap();
+        assert_eq!(o.report.degradation.silent_feasible, 0);
     }
 
     #[test]

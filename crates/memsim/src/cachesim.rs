@@ -43,11 +43,6 @@ impl CacheSim {
         CacheSim::new(32 * 1024, 8, 64)
     }
 
-    /// A 1 MiB, 16-way, 64-byte-line L2.
-    pub fn l2_1m() -> Self {
-        CacheSim::new(1024 * 1024, 16, 64)
-    }
-
     /// Accesses a byte address; returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr / self.line_bytes;

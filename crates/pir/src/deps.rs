@@ -13,6 +13,7 @@
 use crate::error::Result;
 use crate::expr::ArrayId;
 use crate::program::{Program, StmtId};
+use std::collections::hash_map::{Entry, HashMap};
 use tilefuse_presburger::Map;
 
 /// The classical dependence kinds.
@@ -59,21 +60,48 @@ pub fn compute_dependences(program: &Program) -> Result<Vec<Dependence>> {
     Ok(out)
 }
 
+/// Visits only the statement pairs that can carry a dependence — flow
+/// `W(A) × R(A)`, output `W(A) × W(A)`, anti `R(A) × W(A)` — found from an
+/// integer index of writers and readers per array. Pairs come in `(s, t)`
+/// order and kinds in flow/output/anti order, so the result is the one a
+/// walk over all statement pairs would give. Each statement's write
+/// relation, and each `(statement, array)` read relation, is built once.
 fn compute_dependences_uncached(program: &Program) -> Result<Vec<Dependence>> {
+    let stmts = program.stmts();
+    let mut writers = vec![Vec::new(); program.arrays().len()];
+    let mut readers = vec![Vec::new(); program.arrays().len()];
+    for (i, st) in stmts.iter().enumerate() {
+        writers[st.body().target.0].push(i);
+        for (a, _) in st.body().rhs.loads() {
+            readers[a.0].push(i);
+        }
+    }
+    let writes = (0..stmts.len())
+        .map(|i| program.write_access(StmtId(i)))
+        .collect::<Result<Vec<_>>>()?;
+    let mut reads = HashMap::new();
     let mut out = Vec::new();
-    let n = program.stmts().len();
-    for si in 0..n {
+    let mut candidates = Vec::new();
+    for (si, st) in stmts.iter().enumerate() {
         let s = StmtId(si);
-        let w_s = program.write_access(s)?;
-        let s_writes = program.stmt(s).body().target;
-        for ti in 0..n {
+        let w_s = &writes[si];
+        let s_writes = st.body().target;
+        candidates.clear();
+        candidates.extend(&readers[s_writes.0]);
+        candidates.extend(&writers[s_writes.0]);
+        for (a, _) in st.body().rhs.loads() {
+            candidates.extend(&writers[a.0]);
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        for &ti in &candidates {
             let t = StmtId(ti);
             let prec = program.prec_map(s, t)?;
             if prec.is_empty()? {
                 continue;
             }
             // Flow: s writes A, t reads A.
-            if let Some(r_t) = program.read_access_to(t, s_writes)? {
+            if let Some(r_t) = read_of(program, &mut reads, t, s_writes)? {
                 let rel = w_s.compose(&r_t.reverse())?.intersect(&prec)?;
                 if !rel.is_empty()? {
                     out.push(Dependence {
@@ -86,10 +114,9 @@ fn compute_dependences_uncached(program: &Program) -> Result<Vec<Dependence>> {
                 }
             }
             // Output: s writes A, t writes A.
-            let t_writes = program.stmt(t).body().target;
+            let t_writes = stmts[ti].body().target;
             if t_writes == s_writes {
-                let w_t = program.write_access(t)?;
-                let rel = w_s.compose(&w_t.reverse())?.intersect(&prec)?;
+                let rel = w_s.compose(&writes[ti].reverse())?.intersect(&prec)?;
                 if !rel.is_empty()? {
                     out.push(Dependence {
                         src: s,
@@ -101,9 +128,8 @@ fn compute_dependences_uncached(program: &Program) -> Result<Vec<Dependence>> {
                 }
             }
             // Anti: s reads A, t writes A.
-            if let Some(r_s) = program.read_access_to(s, t_writes)? {
-                let w_t = program.write_access(t)?;
-                let rel = r_s.compose(&w_t.reverse())?.intersect(&prec)?;
+            if let Some(r_s) = read_of(program, &mut reads, s, t_writes)? {
+                let rel = r_s.compose(&writes[ti].reverse())?.intersect(&prec)?;
                 if !rel.is_empty()? {
                     out.push(Dependence {
                         src: s,
@@ -117,6 +143,20 @@ fn compute_dependences_uncached(program: &Program) -> Result<Vec<Dependence>> {
         }
     }
     Ok(out)
+}
+
+/// [`Program::read_access_to`], built at most once per `(stmt, arr)`.
+fn read_of<'m>(
+    program: &Program,
+    memo: &'m mut HashMap<(StmtId, ArrayId), Option<Map>>,
+    stmt: StmtId,
+    arr: ArrayId,
+) -> Result<Option<&'m Map>> {
+    let m = match memo.entry((stmt, arr)) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(e) => e.insert(program.read_access_to(stmt, arr)?),
+    };
+    Ok(m.as_ref())
 }
 
 /// Filters dependences to producer→consumer (flow) edges between *distinct*

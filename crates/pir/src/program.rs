@@ -525,14 +525,18 @@ impl Program {
             .collect()
     }
 
-    /// The union of a statement's reads of one array.
+    /// The union of a statement's reads of one array. Only the loads of
+    /// `arr` are turned into relations; `None` if the statement never
+    /// reads it.
     ///
     /// # Errors
     /// Returns an error on overflow during construction.
     pub fn read_access_to(&self, stmt: StmtId, arr: ArrayId) -> Result<Option<Map>> {
+        let s = &self.stmts[stmt.0];
         let mut acc: Option<Map> = None;
-        for (a, m) in self.read_accesses(stmt)? {
+        for (a, idx) in s.body.rhs.loads() {
             if a == arr {
+                let m = self.access_map(s, arr, idx)?;
                 acc = Some(match acc {
                     None => m,
                     Some(prev) => prev.union(&m)?,
@@ -700,6 +704,45 @@ mod tests {
         assert!(union.contains_pair(&[10, 0, 0]).unwrap());
         assert!(union.contains_pair(&[10, 0, 1]).unwrap());
         assert!(!union.contains_pair(&[10, 0, 2]).unwrap());
+    }
+
+    #[test]
+    fn read_access_to_is_the_filtered_union_of_read_accesses() {
+        let (mut p, a, b, s0, _) = sample();
+        let c = p.add_array("C", vec![("N", -1).into()], ArrayKind::Output);
+        // S2: C[i] = A[i] + B[i] * A[i+1] — two arrays, interleaved loads.
+        let s2 = p
+            .add_stmt(
+                "{ S2[i] : 0 <= i < N - 1 }",
+                vec![SchedTerm::Cst(2), SchedTerm::Var(0)],
+                Body {
+                    target: c,
+                    target_idx: vec![IdxExpr::dim(1, 0)],
+                    rhs: Expr::add(
+                        Expr::load(a, vec![IdxExpr::dim(1, 0)]),
+                        Expr::mul(
+                            Expr::load(b, vec![IdxExpr::dim(1, 0)]),
+                            Expr::load(a, vec![IdxExpr::dim(1, 0).offset(1)]),
+                        ),
+                    ),
+                },
+            )
+            .unwrap();
+        let reads = p.read_accesses(s2).unwrap();
+        for arr in [a, b] {
+            let expected = reads
+                .iter()
+                .filter(|(x, _)| *x == arr)
+                .map(|(_, m)| m.clone())
+                .reduce(|acc, m| acc.union(&m).unwrap())
+                .unwrap();
+            let got = p.read_access_to(s2, arr).unwrap().unwrap();
+            assert!(got.is_equal(&expected).unwrap(), "{got} vs {expected}");
+        }
+        // Unread arrays: the statement's own target, and any array of a
+        // statement that loads nothing.
+        assert!(p.read_access_to(s2, c).unwrap().is_none());
+        assert!(p.read_access_to(s0, a).unwrap().is_none());
     }
 
     #[test]

@@ -149,11 +149,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Total hits across all operations.
-    pub fn total_hits(&self) -> u64 {
-        self.per_op().iter().map(|s| s.hits).sum()
-    }
-
     /// Total misses across all operations.
     pub fn total_misses(&self) -> u64 {
         self.per_op().iter().map(|s| s.misses).sum()
