@@ -12,16 +12,11 @@
 //!
 //! ## Execution model
 //!
-//! Static inside a task, dynamic between tasks. On the VM a task is the
-//! compiled loop nest run under the task's pinned schedule prefix
-//! (`Machine::run_under`): exactly the sequential instruction stream
-//! restricted to the tile, at the sequential VM's per-instance cost. On
-//! the interpreter — kept as the independent implementation DAG×VM is
-//! compared against — each task *enumerates its own work*: one
-//! schedule-major scanner per flattened entry is built up front, and each
-//! task pins it to the task's prefix with a leading-dimension walk
-//! ([`Scanner::for_each_under`]) and sorts its own items into
-//! lexicographic schedule order.
+//! Static inside a task, dynamic between tasks. The tree is lowered once
+//! ([`crate::lower_tree`]), and a task is the compiled loop nest run under
+//! the task's pinned schedule prefix (`Machine::run_under`): exactly the
+//! sequential instruction stream restricted to the tile, at the sequential
+//! VM's per-instance cost.
 //!
 //! Tasks access *shared* buffers directly: every buffer element is an
 //! `AtomicU64` holding f64 bits, loaded and stored with `Relaxed`
@@ -77,48 +72,24 @@
 //! relies on this mode.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use crate::error::{Error, Result};
-use crate::interp::{
-    default_threads, execute_instance, from_atoms, into_atoms, ExecContext, ExecStats, Scratch,
-    SharedMem,
-};
+use crate::interp::{default_threads, ExecContext, ExecStats};
 use crate::vm::{execute_compiled_dag, ExecBackend};
-use tilefuse_pir::{ArrayId, Program, StmtId};
-use tilefuse_presburger::Scanner;
-use tilefuse_schedtree::{flatten, ScheduleTree};
+use tilefuse_pir::{ArrayId, Program};
+use tilefuse_schedtree::ScheduleTree;
 use tilefuse_scheduler::{build_tile_dag, TileDag};
 
-/// One instance owned by a task: `(entry index, [schedule…, instance…])`.
-/// The flat coordinate vector is the scanner point verbatim (one
-/// allocation per instance); the entry index recovers the statement and
-/// the schedule/instance split.
-type TaskItem = (usize, Vec<i64>);
-
-/// Per-flattened-entry state for lazy per-task work enumeration.
-struct EntryWork {
-    /// Position in flatten order (sequential tie-break).
-    order: usize,
-    stmt: StmtId,
-    /// Schedule-tuple arity (the wrapped set's leading dimensions).
-    n_sched: usize,
-    /// Scanner over `(schedule ∩ domain)⁻¹` wrapped —
-    /// `[schedule dims…, instance dims…]` — built **once**; each task
-    /// restricts it to its prefix with a pinned-prefix walk
-    /// ([`Scanner::for_each_under`]), so per-task enumeration pays no
-    /// set operations and no bound re-derivation.
-    scanner: Scanner,
-}
-
-/// Builds the tile DAG for `tree` and executes it on the selected backend
-/// with a work-stealing pool (see module docs). Buffers **and**
+/// Builds the tile DAG for `tree` and executes it on the bytecode VM with
+/// a work-stealing pool (see module docs). Buffers **and**
 /// [`ExecStats`] are bit-identical to [`crate::execute_tree`] for any
 /// thread count.
 ///
 /// `n_threads == 0` means [`default_threads`]; `1` executes the tasks
 /// sequentially in lexicographic order (still through the DAG machinery).
+/// `backend` has one value, [`ExecBackend::Vm`].
 ///
 /// # Errors
 /// Returns an error if DAG construction fails (illegal schedule, set
@@ -165,17 +136,17 @@ pub fn execute_tree_dag_with(
     dag: &TileDag,
     adversarial: bool,
 ) -> Result<(ExecContext, ExecStats)> {
+    let ExecBackend::Vm = backend;
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_tree_dag_inner(
-            program,
-            tree,
-            overrides,
-            scratch_scopes,
-            n_threads,
-            backend,
-            dag,
-            adversarial,
-        )
+        let _span = tilefuse_trace::span!("dag/execute", "{}", program.name());
+        program.validate_params()?;
+        let n_threads = if n_threads == 0 {
+            default_threads()
+        } else {
+            n_threads
+        };
+        let compiled = crate::lower::lower_tree(program, tree, overrides, scratch_scopes)?;
+        execute_compiled_dag(program, &compiled, dag, n_threads, adversarial)
     }))
     .unwrap_or_else(|payload| {
         Err(Error::Exec(format!(
@@ -184,94 +155,6 @@ pub fn execute_tree_dag_with(
             tilefuse_trace::governor::panic_message(payload.as_ref()),
         )))
     })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_tree_dag_inner(
-    program: &Program,
-    tree: &ScheduleTree,
-    overrides: &[(&str, i64)],
-    scratch_scopes: &BTreeMap<ArrayId, usize>,
-    n_threads: usize,
-    backend: ExecBackend,
-    dag: &TileDag,
-    adversarial: bool,
-) -> Result<(ExecContext, ExecStats)> {
-    let _span = tilefuse_trace::span!("dag/execute", "{} ({})", program.name(), backend);
-    program.validate_params()?;
-    let n_threads = if n_threads == 0 {
-        default_threads()
-    } else {
-        n_threads
-    };
-    match backend {
-        ExecBackend::Interp => run_interp(
-            program,
-            tree,
-            overrides,
-            scratch_scopes,
-            n_threads,
-            dag,
-            adversarial,
-        ),
-        ExecBackend::Vm => {
-            let compiled = crate::lower::lower_tree(program, tree, overrides, scratch_scopes)?;
-            execute_compiled_dag(program, &compiled, dag, n_threads, adversarial)
-        }
-    }
-}
-
-/// Flattens the tree and builds each entry's schedule-major scanner once:
-/// the schedule relation is reversed so the wrapped set leads with the
-/// schedule dimensions, which makes a task prefix a *leading-dimension*
-/// restriction — exactly what [`Scanner::for_each_under`] pins for free.
-fn entry_work(program: &Program, tree: &ScheduleTree, values: &[i64]) -> Result<Vec<EntryWork>> {
-    let entries = flatten(tree)?;
-    entries
-        .iter()
-        .enumerate()
-        .map(|(order, e)| {
-            let stmt = program
-                .stmt_named(&e.stmt)
-                .ok_or_else(|| Error::Exec(format!("unknown statement {}", e.stmt)))?
-                .id();
-            let graph = e.schedule.intersect_domain(&e.domain)?;
-            Ok(EntryWork {
-                order,
-                stmt,
-                n_sched: graph.space().n_out(),
-                scanner: Scanner::new(graph.reverse().as_wrapped_set(), values)?,
-            })
-        })
-        .collect()
-}
-
-/// Enumerates one task's instances — each entry's scanner pinned to the
-/// task prefix — in sequential (lexicographic schedule, then entry order,
-/// then instance) order. Runs inside the task, so enumeration
-/// parallelizes across workers. The schedule-major walk emits each
-/// entry's items already sorted, so a single entry needs no sort at all
-/// and several entries are merged by an adaptive stable sort over the
-/// per-entry runs — either way far cheaper than the sequential
-/// interpreter's global sort.
-fn items_for_task(entries: &[EntryWork], prefix: &[i64]) -> Result<Vec<TaskItem>> {
-    let mut items: Vec<TaskItem> = Vec::new();
-    for (ei, e) in entries.iter().enumerate() {
-        e.scanner.for_each_under(prefix, &mut |pt: &[i64]| {
-            items.push((ei, pt.to_vec()));
-            true
-        })?;
-    }
-    if entries.len() > 1 {
-        items.sort_by(|a, b| {
-            let (ea, eb) = (&entries[a.0], &entries[b.0]);
-            a.1[..ea.n_sched]
-                .cmp(&b.1[..eb.n_sched])
-                .then(ea.order.cmp(&eb.order))
-                .then(a.1[ea.n_sched..].cmp(&b.1[eb.n_sched..]))
-        });
-    }
-    Ok(items)
 }
 
 /// Drives the DAG to completion, calling `run_task` once per task with the
@@ -421,82 +304,4 @@ pub(crate) fn run_pool<W: Send>(
         return Err(Error::Exec("tile task graph is cyclic".into()));
     }
     Ok(states)
-}
-
-fn run_interp(
-    program: &Program,
-    tree: &ScheduleTree,
-    overrides: &[(&str, i64)],
-    scratch_scopes: &BTreeMap<ArrayId, usize>,
-    n_threads: usize,
-    dag: &TileDag,
-    adversarial: bool,
-) -> Result<(ExecContext, ExecStats)> {
-    let values = &program.param_values(overrides);
-    let entries = if dag.n_tasks() == 0 {
-        // Nothing to run (the optimizer proved every tile empty): skip
-        // building per-entry scanners entirely.
-        Vec::new()
-    } else {
-        entry_work(program, tree, values)?
-    };
-    let mut ctx = ExecContext::initialized(program, overrides);
-    // Move every buffer into shared relaxed-atomic storage for the run
-    // (`ctx` keeps the shapes for index arithmetic).
-    let atoms: BTreeMap<ArrayId, Vec<AtomicU64>> = program
-        .arrays()
-        .iter()
-        .map(|a| {
-            let data = std::mem::take(ctx.buffer_mut(a.id()).data_mut());
-            (a.id(), into_atoms(data))
-        })
-        .collect();
-    let run = |stats: &mut ExecStats, t: usize| -> Result<()> {
-        tilefuse_trace::governor::checkpoint("dag/exec")
-            .map_err(|e| Error::Presburger(tilefuse_presburger::Error::from(e)))?;
-        let mut mem = SharedMem {
-            shapes: &ctx,
-            atoms: &atoms,
-        };
-        let mut scratch = Scratch::new(scratch_scopes.clone());
-        let mut exec = |e: &EntryWork, pt: &[i64]| {
-            let (sched, inst) = pt.split_at(e.n_sched);
-            scratch.enter(sched);
-            execute_instance(
-                program,
-                &mut mem,
-                values,
-                e.stmt,
-                inst,
-                Some(&mut scratch),
-                stats,
-                None,
-            )
-        };
-        if let [e] = &entries[..] {
-            // Single flattened entry: the schedule-major walk already
-            // visits instances in sequential order, so execute *during*
-            // the walk — no item materialization, no per-point
-            // allocation, no sort.
-            let mut failed = None;
-            e.scanner.for_each_under(&dag.tasks[t], &mut |pt: &[i64]| {
-                failed = exec(e, pt).err();
-                failed.is_none()
-            })?;
-            failed.map_or(Ok(()), Err)
-        } else {
-            items_for_task(&entries, &dag.tasks[t])?
-                .iter()
-                .try_for_each(|(ei, pt)| exec(&entries[*ei], pt))
-        }
-    };
-    let workers = run_pool(dag, n_threads, adversarial, &ExecStats::default, &run)?;
-    for (arr, cells) in atoms {
-        *ctx.buffer_mut(arr).data_mut() = from_atoms(cells);
-    }
-    let mut stats = ExecStats::default();
-    for w in &workers {
-        stats.merge(w);
-    }
-    Ok((ctx, stats))
 }

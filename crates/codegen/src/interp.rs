@@ -20,11 +20,10 @@
 
 use crate::error::{Error, Result};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use tilefuse_pir::{ArrayId, Program, SchedTerm, StmtId};
 use tilefuse_presburger::Scanner;
-use tilefuse_schedtree::{flatten, FlatEntry, ScheduleTree};
+use tilefuse_schedtree::{flatten, ScheduleTree};
 
 /// A dense multi-dimensional `f64` buffer.
 #[derive(Debug, Clone)]
@@ -192,84 +191,6 @@ impl ExecStats {
     }
 }
 
-/// Backing memory as seen by one statement instance: the sequential
-/// interpreter writes straight through to the [`ExecContext`], while the
-/// tasks of the DAG runtime share a [`SharedMem`].
-pub(crate) trait Mem {
-    fn load(&self, arr: ArrayId, coords: &[i64]) -> Result<f64>;
-    fn store(&mut self, arr: ArrayId, coords: &[i64], v: f64) -> Result<()>;
-}
-
-impl Mem for ExecContext {
-    fn load(&self, arr: ArrayId, coords: &[i64]) -> Result<f64> {
-        self.buffers
-            .get(&arr)
-            .ok_or_else(|| Error::Exec("missing buffer".into()))?
-            .get(coords)
-    }
-
-    fn store(&mut self, arr: ArrayId, coords: &[i64], v: f64) -> Result<()> {
-        self.buffers
-            .get_mut(&arr)
-            .ok_or_else(|| Error::Exec("missing buffer".into()))?
-            .set(coords, v)
-    }
-}
-
-/// Shared memory for the task-DAG runtime: every buffer element is an
-/// `AtomicU64` holding f64 bits, accessed with `Relaxed` ordering. This is
-/// sound because any two instances with a conflicting access (at least one
-/// write to the same element) are related by a dependence, so their tasks
-/// are DAG-ordered and the runtime's release/acquire chain (see
-/// `crate::dag`) puts the accesses in happens-before order — the relaxed
-/// load is forced by coherence to observe the happens-before-latest store.
-/// Non-conflicting accesses may interleave freely. `shapes` supplies the
-/// index arithmetic; its buffer data is moved out while the atomics are
-/// live.
-pub(crate) struct SharedMem<'a> {
-    pub(crate) shapes: &'a ExecContext,
-    pub(crate) atoms: &'a BTreeMap<ArrayId, Vec<AtomicU64>>,
-}
-
-impl Mem for SharedMem<'_> {
-    fn load(&self, arr: ArrayId, coords: &[i64]) -> Result<f64> {
-        let buf = self
-            .shapes
-            .buffers
-            .get(&arr)
-            .ok_or_else(|| Error::Exec("missing buffer".into()))?;
-        let idx = buf.index(coords)?;
-        let cell = &self.atoms[&arr][idx];
-        Ok(f64::from_bits(cell.load(Ordering::Relaxed)))
-    }
-
-    fn store(&mut self, arr: ArrayId, coords: &[i64], v: f64) -> Result<()> {
-        let buf = self
-            .shapes
-            .buffers
-            .get(&arr)
-            .ok_or_else(|| Error::Exec("missing buffer".into()))?;
-        let idx = buf.index(coords)?;
-        self.atoms[&arr][idx].store(v.to_bits(), Ordering::Relaxed);
-        Ok(())
-    }
-}
-
-/// Moves a buffer's data into shared relaxed-atomic cells (f64 bits).
-pub(crate) fn into_atoms(data: Vec<f64>) -> Vec<AtomicU64> {
-    data.into_iter()
-        .map(|v| AtomicU64::new(v.to_bits()))
-        .collect()
-}
-
-/// Moves the cells' final values back into plain buffer data.
-pub(crate) fn from_atoms(cells: Vec<AtomicU64>) -> Vec<f64> {
-    cells
-        .into_iter()
-        .map(|c| f64::from_bits(c.into_inner()))
-        .collect()
-}
-
 pub(crate) fn make_binding<'a>(
     program: &'a Program,
     values: &'a [i64],
@@ -430,48 +351,16 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Parallelizable depths, as the bytecode lowering marks them for
-/// [`crate::execute_compiled`]: a depth `d` may be cut into tasks iff
-/// every entry that actually *iterates* it (`d < e.sched_len`) marks it
-/// coincident, and no scratch region's scope spans chunks at that depth.
-///
-/// Entries padded at `d` are neutral, not vetoes: their padded dimensions
-/// are constant 0, and two entries whose shared schedule prefix reaches into
-/// one entry's padding region necessarily come from the same tree leaf
-/// (distinct leaves always diverge at an earlier sequence dimension), so a
-/// split at `d` can never separate a padded entry's instances.
-pub(crate) fn parallel_depths(
-    entries: &[FlatEntry],
-    scratch_scopes: &BTreeMap<ArrayId, usize>,
-) -> Vec<bool> {
-    let sched_len = entries
-        .iter()
-        .map(|e| e.par_depths.len())
-        .max()
-        .unwrap_or(0);
-    let mut par_ok = vec![true; sched_len];
-    for e in entries {
-        for (d, ok) in par_ok.iter_mut().enumerate().take(e.sched_len) {
-            *ok &= e.par_depths.get(d).copied().unwrap_or(false);
-        }
-    }
-    let min_scope = scratch_scopes.values().copied().min().unwrap_or(usize::MAX);
-    for (d, ok) in par_ok.iter_mut().enumerate() {
-        *ok &= d < min_scope;
-    }
-    par_ok
-}
-
 /// Tile-private storage for fused arrays (see module docs).
 #[derive(Debug, Default)]
-pub(crate) struct Scratch {
+struct Scratch {
     scopes: BTreeMap<ArrayId, usize>,
     values: BTreeMap<(ArrayId, Vec<i64>), f64>,
     last_prefix: BTreeMap<ArrayId, Vec<i64>>,
 }
 
 impl Scratch {
-    pub(crate) fn new(scopes: BTreeMap<ArrayId, usize>) -> Self {
+    fn new(scopes: BTreeMap<ArrayId, usize>) -> Self {
         Scratch {
             scopes,
             values: BTreeMap::new(),
@@ -481,7 +370,7 @@ impl Scratch {
 
     /// Called before each instance with its schedule tuple: clears any
     /// array whose tile prefix changed.
-    pub(crate) fn enter(&mut self, sched: &[i64]) {
+    fn enter(&mut self, sched: &[i64]) {
         let mut to_clear = Vec::new();
         for (&arr, &scope) in &self.scopes {
             let prefix = &sched[..scope.min(sched.len())];
@@ -512,9 +401,9 @@ impl Scratch {
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_instance<M: Mem>(
+fn execute_instance(
     program: &Program,
-    mem: &mut M,
+    ctx: &mut ExecContext,
     param_values: &[i64],
     stmt: StmtId,
     point: &[i64],
@@ -561,7 +450,8 @@ pub(crate) fn execute_instance<M: Mem>(
                     scratch: false,
                 });
             }
-            match mem.load(arr, coords) {
+            let buf = ctx.buffers.get(&arr).ok_or_else(missing_buffer);
+            match buf.and_then(|b| b.get(coords)) {
                 Ok(v) => v,
                 Err(e) => {
                     err = Some(e);
@@ -598,9 +488,16 @@ pub(crate) fn execute_instance<M: Mem>(
             .expect("checked above")
             .set(own_target, coords, value);
     } else {
-        mem.store(own_target, &coords, value)?;
+        ctx.buffers
+            .get_mut(&own_target)
+            .ok_or_else(missing_buffer)?
+            .set(&coords, value)?;
     }
     Ok(())
+}
+
+fn missing_buffer() -> Error {
+    Error::Exec("missing buffer".into())
 }
 
 /// Asserts that every `Output` array matches between two contexts.
@@ -660,91 +557,9 @@ mod tests {
         p
     }
 
-    #[test]
-    fn padded_shallow_entry_does_not_veto_deep_parallel_depth() {
-        // Regression: a shallow live-out statement (1-D) beside a deeper
-        // fused group (2-D). The shallow entry's schedule is padded to the
-        // common length; its padded depth must be *neutral* when selecting
-        // parallel depths, not a veto that serializes the deep group.
-        use tilefuse_presburger::{UnionMap, UnionSet};
-        use tilefuse_schedtree::{band, filter, sequence, Band, Node};
-
-        let mut p = Program::new("veto").with_param("N", 6);
-        let a = p.add_array("A", vec!["N".into()], ArrayKind::Output);
-        let b = p.add_array("B", vec!["N".into(), "N".into()], ArrayKind::Output);
-        p.add_stmt(
-            "{ S0[i] : 0 <= i < N }",
-            vec![SchedTerm::Cst(0), SchedTerm::Var(0)],
-            Body {
-                target: a,
-                target_idx: vec![IdxExpr::dim(1, 0)],
-                rhs: Expr::mul(Expr::Iter(0), Expr::Const(3.0)),
-            },
-        )
-        .unwrap();
-        p.add_stmt(
-            "{ S1[i, j] : 0 <= i < N and 0 <= j < N }",
-            vec![SchedTerm::Cst(1), SchedTerm::Var(0), SchedTerm::Var(1)],
-            Body {
-                target: b,
-                target_idx: vec![IdxExpr::dim(2, 0), IdxExpr::dim(2, 1)],
-                rhs: Expr::add(Expr::Iter(0), Expr::Iter(1)),
-            },
-        )
-        .unwrap();
-        let uset = |s: &str| {
-            UnionSet::from_parts([s.parse::<tilefuse_presburger::Set>().unwrap()]).unwrap()
-        };
-        let umap = |s: &str| {
-            UnionMap::from_parts([s.parse::<tilefuse_presburger::Map>().unwrap()]).unwrap()
-        };
-        let dom = uset("[N] -> { S0[i] : 0 <= i < N }")
-            .union(&uset("[N] -> { S1[i, j] : 0 <= i < N and 0 <= j < N }"))
-            .unwrap();
-        let tree = ScheduleTree::new(
-            dom,
-            sequence(vec![
-                filter(
-                    uset("[N] -> { S0[i] }"),
-                    band(
-                        Band::new(umap("[N] -> { S0[i] -> [i] }"), true, vec![true]).unwrap(),
-                        Node::Leaf,
-                    ),
-                ),
-                filter(
-                    uset("[N] -> { S1[i, j] }"),
-                    band(
-                        Band::new(
-                            umap("[N] -> { S1[i, j] -> [i, j] }"),
-                            true,
-                            vec![true, true],
-                        )
-                        .unwrap(),
-                        Node::Leaf,
-                    ),
-                ),
-            ]),
-        );
-        let entries = flatten(&tree).unwrap();
-        // Depth 0 is the sequence dim; depths 1 and 2 are coincident band
-        // members. S0 does not iterate depth 2 (padding), so it must not
-        // veto it.
-        assert_eq!(
-            parallel_depths(&entries, &BTreeMap::new()),
-            vec![false, true, true]
-        );
-        let (seq_ctx, seq_stats) = execute_tree(&p, &tree, &[], &BTreeMap::new()).unwrap();
-        for (par_ctx, par_stats) in parallel_runs(&p, &tree, 4) {
-            assert_eq!(seq_stats, par_stats);
-            for arr in [a, b] {
-                assert_eq!(seq_ctx.buffer(arr).data(), par_ctx.buffer(arr).data());
-            }
-        }
-    }
-
-    /// The two parallel executions of a scratch-free tree: its tile DAG on
-    /// the interpreter, and the compiled program with its coincident loops
-    /// cut into pool tasks.
+    /// The two parallel executions of a scratch-free tree: its tile DAG,
+    /// and the compiled program with its coincident loops cut into pool
+    /// tasks.
     fn parallel_runs(
         p: &Program,
         tree: &ScheduleTree,
@@ -753,8 +568,7 @@ mod tests {
         let none = BTreeMap::new();
         let compiled = crate::lower_tree(p, tree, &[], &none).unwrap();
         [
-            crate::execute_tree_dag(p, tree, &[], &none, threads, crate::ExecBackend::Interp)
-                .unwrap(),
+            crate::execute_tree_dag(p, tree, &[], &none, threads, crate::ExecBackend::Vm).unwrap(),
             crate::execute_compiled(p, &compiled, threads).unwrap(),
         ]
     }

@@ -15,11 +15,11 @@
 //!   bit-identically to the interpreter — same buffers, same statistics —
 //!   but without per-instance set enumeration.
 //!
-//! Both engines are sequential. Parallel execution is one runtime on top
-//! of them: [`execute_tree_dag`] runs tiles as tasks of the inter-tile
-//! dependence DAG on a work-stealing pool, on the engine [`ExecBackend`]
-//! selects, and [`execute_compiled`] with more than one thread runs a
-//! coincident loop's iterations as edge-free tasks of the same pool.
+//! The interpreter is sequential. Parallel execution is one runtime on
+//! top of the VM: [`execute_tree_dag`] runs tiles as tasks of the
+//! inter-tile dependence DAG on a work-stealing pool, and
+//! [`execute_compiled`] with more than one thread runs a coincident
+//! loop's iterations as edge-free tasks of the same pool.
 
 mod ast;
 mod bytecode;

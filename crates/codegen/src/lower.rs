@@ -51,7 +51,7 @@ use crate::error::{Error, Result};
 use crate::interp::make_binding;
 use tilefuse_pir::{ArrayId, Expr, IdxExpr, Program};
 use tilefuse_presburger::{BasicSet, LoopBounds, Scanner};
-use tilefuse_schedtree::{flatten, ScheduleTree};
+use tilefuse_schedtree::{flatten, FlatEntry, ScheduleTree};
 
 /// `ceil(n / d)` for `d > 0` (mirrors the scanner's bound evaluation).
 pub(crate) fn cdiv(n: i64, d: i64) -> i64 {
@@ -586,6 +586,35 @@ fn empty_under_params(b: &BasicSet, values: &[i64]) -> bool {
         || b.eq_rows().iter().any(|r| pure(r) && eval(r) != 0)
 }
 
+/// Parallelizable depths, as the bytecode lowering marks them for
+/// [`crate::execute_compiled`]: a depth `d` may be cut into tasks iff
+/// every entry that actually *iterates* it (`d < e.sched_len`) marks it
+/// coincident, and no scratch region's scope spans chunks at that depth.
+///
+/// Entries padded at `d` are neutral, not vetoes: their padded dimensions
+/// are constant 0, and two entries whose shared schedule prefix reaches into
+/// one entry's padding region necessarily come from the same tree leaf
+/// (distinct leaves always diverge at an earlier sequence dimension), so a
+/// split at `d` can never separate a padded entry's instances.
+fn parallel_depths(entries: &[FlatEntry], scratch_scopes: &BTreeMap<ArrayId, usize>) -> Vec<bool> {
+    let sched_len = entries
+        .iter()
+        .map(|e| e.par_depths.len())
+        .max()
+        .unwrap_or(0);
+    let mut par_ok = vec![true; sched_len];
+    for e in entries {
+        for (d, ok) in par_ok.iter_mut().enumerate().take(e.sched_len) {
+            *ok &= e.par_depths.get(d).copied().unwrap_or(false);
+        }
+    }
+    let min_scope = scratch_scopes.values().copied().min().unwrap_or(usize::MAX);
+    for (d, ok) in par_ok.iter_mut().enumerate() {
+        *ok &= d < min_scope;
+    }
+    par_ok
+}
+
 /// Lowers an optimized schedule tree to a [`CompiledProgram`] for the
 /// concrete parameter binding given by `overrides`.
 ///
@@ -617,8 +646,8 @@ pub fn lower_tree(
         .unwrap_or(0);
 
     // Parallelizable depths: every entry iterating the depth coincident,
-    // every scratch scope strictly deeper (see `interp::parallel_depths`).
-    let par_ok = crate::interp::parallel_depths(&entries, scratch_scopes);
+    // every scratch scope strictly deeper (see `parallel_depths`).
+    let par_ok = parallel_depths(&entries, scratch_scopes);
 
     let bodies_span = tilefuse_trace::span!("codegen/lower/bodies");
 
@@ -857,6 +886,94 @@ mod tests {
                 "{} disjuncts",
                 f.rows.len()
             );
+        }
+    }
+
+    #[test]
+    fn padded_shallow_entry_does_not_veto_deep_parallel_depth() {
+        // Regression: a shallow live-out statement (1-D) beside a deeper
+        // fused group (2-D). The shallow entry's schedule is padded to the
+        // common length; its padded depth must be *neutral* when selecting
+        // parallel depths, not a veto that serializes the deep group.
+        use tilefuse_pir::{ArrayKind, Body, SchedTerm};
+        use tilefuse_presburger::{UnionMap, UnionSet};
+        use tilefuse_schedtree::{band, filter, sequence, Band, Node};
+
+        let mut p = Program::new("veto").with_param("N", 6);
+        let a = p.add_array("A", vec!["N".into()], ArrayKind::Output);
+        let b = p.add_array("B", vec!["N".into(), "N".into()], ArrayKind::Output);
+        p.add_stmt(
+            "{ S0[i] : 0 <= i < N }",
+            vec![SchedTerm::Cst(0), SchedTerm::Var(0)],
+            Body {
+                target: a,
+                target_idx: vec![IdxExpr::dim(1, 0)],
+                rhs: Expr::mul(Expr::Iter(0), Expr::Const(3.0)),
+            },
+        )
+        .unwrap();
+        p.add_stmt(
+            "{ S1[i, j] : 0 <= i < N and 0 <= j < N }",
+            vec![SchedTerm::Cst(1), SchedTerm::Var(0), SchedTerm::Var(1)],
+            Body {
+                target: b,
+                target_idx: vec![IdxExpr::dim(2, 0), IdxExpr::dim(2, 1)],
+                rhs: Expr::add(Expr::Iter(0), Expr::Iter(1)),
+            },
+        )
+        .unwrap();
+        let uset = |s: &str| {
+            UnionSet::from_parts([s.parse::<tilefuse_presburger::Set>().unwrap()]).unwrap()
+        };
+        let umap = |s: &str| {
+            UnionMap::from_parts([s.parse::<tilefuse_presburger::Map>().unwrap()]).unwrap()
+        };
+        let dom = uset("[N] -> { S0[i] : 0 <= i < N }")
+            .union(&uset("[N] -> { S1[i, j] : 0 <= i < N and 0 <= j < N }"))
+            .unwrap();
+        let tree = ScheduleTree::new(
+            dom,
+            sequence(vec![
+                filter(
+                    uset("[N] -> { S0[i] }"),
+                    band(
+                        Band::new(umap("[N] -> { S0[i] -> [i] }"), true, vec![true]).unwrap(),
+                        Node::Leaf,
+                    ),
+                ),
+                filter(
+                    uset("[N] -> { S1[i, j] }"),
+                    band(
+                        Band::new(
+                            umap("[N] -> { S1[i, j] -> [i, j] }"),
+                            true,
+                            vec![true, true],
+                        )
+                        .unwrap(),
+                        Node::Leaf,
+                    ),
+                ),
+            ]),
+        );
+        let entries = flatten(&tree).unwrap();
+        // Depth 0 is the sequence dim; depths 1 and 2 are coincident band
+        // members. S0 does not iterate depth 2 (padding), so it must not
+        // veto it.
+        assert_eq!(
+            parallel_depths(&entries, &BTreeMap::new()),
+            vec![false, true, true]
+        );
+        let none = BTreeMap::new();
+        let (seq_ctx, seq_stats) = crate::execute_tree(&p, &tree, &[], &none).unwrap();
+        let compiled = lower_tree(&p, &tree, &[], &none).unwrap();
+        for (par_ctx, par_stats) in [
+            crate::execute_tree_dag(&p, &tree, &[], &none, 4, crate::ExecBackend::Vm).unwrap(),
+            crate::execute_compiled(&p, &compiled, 4).unwrap(),
+        ] {
+            assert_eq!(seq_stats, par_stats);
+            for arr in [a, b] {
+                assert_eq!(seq_ctx.buffer(arr).data(), par_ctx.buffer(arr).data());
+            }
         }
     }
 }

@@ -22,14 +22,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::bytecode::{BodyOp, CAccess, CFilter, CLevel, CompiledProgram, FiberMeta, Inst};
 use crate::error::{Error, Result};
-use crate::interp::{default_threads, from_atoms, into_atoms, ExecContext, ExecStats};
+use crate::interp::{default_threads, ExecContext, ExecStats};
 use tilefuse_pir::{BinOp, Program, UnOp};
 use tilefuse_scheduler::TileDag;
 
 /// Backing memory for a VM run: a sequential run writes straight through;
 /// pool tasks access shared relaxed-atomic buffers (sound because
 /// conflicting accesses are ordered by the pool's release/acquire chain —
-/// see `crate::dag` and `crate::interp::SharedMem`).
+/// see `crate::dag`).
 pub(crate) enum Mem<'a> {
     Direct(&'a mut Vec<Vec<f64>>),
     Shared(&'a [Vec<AtomicU64>]),
@@ -790,6 +790,21 @@ pub(crate) fn run_on_pool(
     Ok(stats)
 }
 
+/// Moves a buffer's data into shared relaxed-atomic cells (f64 bits).
+fn into_atoms(data: Vec<f64>) -> Vec<AtomicU64> {
+    data.into_iter()
+        .map(|v| AtomicU64::new(v.to_bits()))
+        .collect()
+}
+
+/// Moves the cells' final values back into plain buffer data.
+fn from_atoms(cells: Vec<AtomicU64>) -> Vec<f64> {
+    cells
+        .into_iter()
+        .map(|c| f64::from_bits(c.into_inner()))
+        .collect()
+}
+
 /// Initializes buffers exactly as [`ExecContext::initialized`] does for
 /// the interpreter, moves them into the VM's flat arena (relaxed atomics
 /// when `shared`), runs `f`, and moves them back (shapes agree: both
@@ -872,7 +887,7 @@ pub fn execute_compiled(
     })
 }
 
-/// Executes a compiled program as the tasks of `dag` (the VM half of
+/// Executes a compiled program as the tasks of `dag` (the run half of
 /// [`crate::execute_tree_dag_with`]).
 pub(crate) fn execute_compiled_dag(
     program: &Program,
@@ -886,37 +901,11 @@ pub(crate) fn execute_compiled_dag(
     })
 }
 
-/// Which engine executes an optimized schedule tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The engine under [`crate::execute_tree_dag`]: always the VM. The
+/// parameter remains only because the `perf` benchmark passes it; it goes
+/// when that benchmark is next refreshed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecBackend {
-    /// The tree-walking reference interpreter.
-    #[default]
-    Interp,
     /// The compiled bytecode VM (lower once, then run).
     Vm,
-}
-
-impl ExecBackend {
-    /// Parses `"interp"` / `"vm"` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "interp" | "interpreter" => Some(ExecBackend::Interp),
-            "vm" | "bytecode" => Some(ExecBackend::Vm),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase name (matches [`ExecBackend::parse`] input).
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecBackend::Interp => "interp",
-            ExecBackend::Vm => "vm",
-        }
-    }
-}
-
-impl std::fmt::Display for ExecBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }

@@ -37,13 +37,18 @@
 //!    interpreter in any buffer bit or statistic —
 //!    `FaultInjection::VmMisLower` deliberately corrupts the lowering
 //!    here to prove this check catches a miscompile;
-//! 10. the tile-level task-DAG work-stealing runtime (both backends, at
-//!     every thread count plus a single-threaded *adversarial* drain that
-//!     runs the latest ready task first) differing from the sequential
-//!     interpreter in any buffer bit or statistic —
-//!     `FaultInjection::DagDropEdge` deliberately removes one inter-tile
-//!     dependence edge to prove the adversarial drain exposes a missing
-//!     edge.
+//! 10. the tile-level task-DAG work-stealing runtime (each task the
+//!     compiled program run under the tile's prefix, at every thread count
+//!     plus a single-threaded *adversarial* drain that runs the latest
+//!     ready task first) differing from the sequential interpreter in any
+//!     buffer bit or statistic — `FaultInjection::DagDropEdge` deliberately
+//!     removes one inter-tile dependence edge to prove the adversarial
+//!     drain exposes a missing edge.
+//!
+//! Under a budget ([`OracleConfig::budget`]) one more check applies: a
+//! governed run that ends on rung 1 with no trips must return the
+//! ungoverned plan (`rung1-plan`) — budgets stop work, they never change
+//! answers.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -55,7 +60,7 @@ use tilefuse_codegen::{
 use tilefuse_core::{optimize, DegradationReport, FaultInjection, Optimized, Options};
 use tilefuse_pir::Program;
 use tilefuse_presburger::stats as pstats;
-use tilefuse_schedtree::flatten;
+use tilefuse_schedtree::{flatten, render};
 use tilefuse_scheduler::{build_tile_dag, check_schedule, FusionHeuristic};
 
 /// What the oracle runs and compares.
@@ -73,7 +78,7 @@ pub struct OracleConfig {
     /// Resource budget to install for the optimize run. Every other check
     /// still applies — whatever ladder rung the governor forces, the
     /// result must stay legal and bit-exact — plus the degradation-report
-    /// coherence checks.
+    /// coherence checks and, on rung 1 without trips, `rung1-plan`.
     pub budget: Option<tilefuse_trace::Budget>,
 }
 
@@ -211,6 +216,28 @@ fn check_proven(deg: &DegradationReport) -> Result<(), Failure> {
     Ok(())
 }
 
+/// Fails when a governed run that ended on rung 1 without a trip returned a
+/// different plan than the ungoverned run `free`: tree, scratch scopes and
+/// Algorithm 1 schedules must all agree.
+fn check_rung1_plan(governed: &Optimized, free: &Optimized) -> Result<(), Failure> {
+    let differs = |what: &str| {
+        Err(fail(
+            "rung1-plan",
+            format!("governed rung-1 plan differs from the ungoverned one in its {what}"),
+        ))
+    };
+    if render(&governed.tree) != render(&free.tree) {
+        return differs("tree");
+    }
+    if governed.report.scratch_scopes != free.report.scratch_scopes {
+        return differs("scratch scopes");
+    }
+    if format!("{:?}", governed.report.mixed) != format!("{:?}", free.report.mixed) {
+        return differs("fusion schedules");
+    }
+    Ok(())
+}
+
 /// One full pipeline run: optimize + sequential interpretation.
 struct PipelineRun {
     optimized: Optimized,
@@ -224,7 +251,16 @@ fn run_pipeline(
     overrides: &[(&str, i64)],
 ) -> Result<PipelineRun, Failure> {
     let optimized = optimize(program, opts).map_err(|e| fail("optimize", e))?;
-    check_proven(&optimized.report.degradation)?;
+    let deg = &optimized.report.degradation;
+    check_proven(deg)?;
+    if !opts.budget.is_unlimited() && deg.rung == 1 && deg.trips.is_empty() {
+        let ungoverned = Options {
+            budget: tilefuse_trace::Budget::default(),
+            ..opts.clone()
+        };
+        let free = optimize(program, &ungoverned).map_err(|e| fail("optimize", e))?;
+        check_rung1_plan(&optimized, &free)?;
+    }
     let (context, stats) = execute_tree(
         program,
         &optimized.tree,
@@ -509,13 +545,13 @@ pub fn run_oracle(spec: &ProgramSpec, cfg: &OracleConfig) -> Result<(), Failure>
     }
 
     // Tile-DAG runtime differential: materialize the inter-tile task
-    // graph and execute it on both backends — the sequential drain, every
-    // work-stealing thread count, and the adversarial drain (latest ready
-    // task first, which deterministically exposes a missing edge).
-    // Buffers and statistics must be bit-identical to the sequential
-    // interpreter. `FaultInjection::DagDropEdge` removes one edge
-    // post-build so a self-test can prove this check catches an
-    // under-constrained task graph — every check above passes under it.
+    // graph and execute it — the sequential drain, every work-stealing
+    // thread count, and the adversarial drain (latest ready task first,
+    // which deterministically exposes a missing edge). Buffers and
+    // statistics must be bit-identical to the sequential interpreter.
+    // `FaultInjection::DagDropEdge` removes one edge post-build so a
+    // self-test can prove this check catches an under-constrained task
+    // graph — every check above passes under it.
     let mut dag = build_tile_dag(&program, &o.tree, &overrides, &o.report.scratch_scopes)
         .map_err(|e| fail("dag-build", e))?;
     if cfg.fault == FaultInjection::DagDropEdge && !dag.drop_edge() {
@@ -524,49 +560,45 @@ pub fn run_oracle(spec: &ProgramSpec, cfg: &OracleConfig) -> Result<(), Failure>
         // drawing specs until one with real inter-tile edges comes up.
         let _s = tilefuse_trace::span!("oracle/dag-drop-edge", "no edge to drop");
     }
-    for backend in [ExecBackend::Interp, ExecBackend::Vm] {
-        for (threads, adversarial) in std::iter::once((1usize, false))
-            .chain(cfg.threads.iter().map(|&t| (t, false)))
-            .chain(std::iter::once((1usize, true)))
-        {
-            let (dag_ctx, dag_stats) = execute_tree_dag_with(
-                &program,
-                &o.tree,
-                &overrides,
-                &o.report.scratch_scopes,
-                threads,
-                backend,
-                &dag,
-                adversarial,
-            )
-            .map_err(|e| fail("dag-execute", e))?;
-            let mode = if adversarial { ", adversarial" } else { "" };
-            for a in program.arrays() {
-                let d = run
-                    .context
-                    .max_diff(&dag_ctx, a.id())
-                    .map_err(|e| fail("dag-execute", e))?;
-                if d != 0.0 {
-                    return Err(fail(
-                        "dag-mismatch",
-                        format!(
-                            "array {} differs by {d} on the {backend} DAG runtime \
-                             ({threads} thread(s){mode})",
-                            a.name()
-                        ),
-                    ));
-                }
-            }
-            if dag_stats != run.stats {
+    for (threads, adversarial) in std::iter::once((1usize, false))
+        .chain(cfg.threads.iter().map(|&t| (t, false)))
+        .chain(std::iter::once((1usize, true)))
+    {
+        let (dag_ctx, dag_stats) = execute_tree_dag_with(
+            &program,
+            &o.tree,
+            &overrides,
+            &o.report.scratch_scopes,
+            threads,
+            ExecBackend::Vm,
+            &dag,
+            adversarial,
+        )
+        .map_err(|e| fail("dag-execute", e))?;
+        let mode = if adversarial { ", adversarial" } else { "" };
+        for a in program.arrays() {
+            let d = run
+                .context
+                .max_diff(&dag_ctx, a.id())
+                .map_err(|e| fail("dag-execute", e))?;
+            if d != 0.0 {
                 return Err(fail(
                     "dag-mismatch",
                     format!(
-                        "DAG stats differ on {backend} ({threads} thread(s){mode}): \
-                         {dag_stats:?} vs {:?}",
-                        run.stats
+                        "array {} differs by {d} on the DAG runtime ({threads} thread(s){mode})",
+                        a.name()
                     ),
                 ));
             }
+        }
+        if dag_stats != run.stats {
+            return Err(fail(
+                "dag-mismatch",
+                format!(
+                    "DAG stats differ ({threads} thread(s){mode}): {dag_stats:?} vs {:?}",
+                    run.stats
+                ),
+            ));
         }
     }
 
@@ -773,6 +805,41 @@ mod tests {
         )
         .unwrap();
         assert_eq!(o.report.degradation.silent_feasible, 0);
+    }
+
+    #[test]
+    fn rung1_plan_mismatch_is_its_own_failure() {
+        // A governed run that stays on rung 1 always returns the ungoverned
+        // plan today, so the check is driven with a forged divergence.
+        let program = build_program(&chain_spec()).unwrap();
+        let o = optimize(
+            &program,
+            &options_for(&chain_spec(), &OracleConfig::default()),
+        )
+        .unwrap();
+        check_rung1_plan(&o, &o).unwrap();
+        let mut tree = o.clone();
+        tree.tree = tilefuse_scheduler::schedule(&program, FusionHeuristic::MinFuse)
+            .unwrap()
+            .tree;
+        let mut scopes = o.clone();
+        scopes
+            .report
+            .scratch_scopes
+            .insert(tilefuse_pir::ArrayId(usize::MAX), 0);
+        let mut mixed = o.clone();
+        assert!(!mixed.report.mixed.is_empty(), "the chain fuses a producer");
+        mixed.report.mixed.clear();
+        for (forged, what) in [
+            (tree, "tree"),
+            (scopes, "scratch scopes"),
+            (mixed, "fusion schedules"),
+        ] {
+            let f = check_rung1_plan(&forged, &o).unwrap_err();
+            assert_eq!(f.check, "rung1-plan");
+            assert_eq!(f.class(), "rung1-plan", "not folded into another class");
+            assert!(f.detail.ends_with(&format!("in its {what}")), "{f}");
+        }
     }
 
     #[test]

@@ -145,52 +145,29 @@ impl Scanner {
     /// # Errors
     /// Returns [`Error::Unbounded`] if some dimension has no finite bound,
     /// or an overflow error.
-    pub fn for_each(&self, f: &mut dyn FnMut(&[i64]) -> bool) -> Result<()> {
-        self.for_each_under(&[], f)
-    }
-
-    /// Invokes `f` on every point whose leading `prefix.len()` dimensions
-    /// equal `prefix`, in lexicographic order of the remaining dimensions.
-    /// The pinned levels are not range-checked during the walk; the exact
-    /// leaf membership test still rejects any candidate outside the set, so
-    /// a prefix with no points simply yields nothing. This lets a caller
-    /// that partitions a set by its leading dimensions (the tile-DAG
-    /// runtime) reuse one precomputed scanner for every partition instead
-    /// of re-deriving bounds per partition.
-    ///
-    /// # Errors
-    /// Returns [`Error::Unbounded`] if some non-pinned dimension has no
-    /// finite bound, or an overflow error.
     ///
     /// # Panics
-    /// Panics if the scanner is symbolic with parameters, or if `prefix` is
-    /// longer than the set's dimension count.
-    pub fn for_each_under(&self, prefix: &[i64], f: &mut dyn FnMut(&[i64]) -> bool) -> Result<()> {
+    /// Panics if the scanner is symbolic with parameters.
+    pub fn for_each(&self, f: &mut dyn FnMut(&[i64]) -> bool) -> Result<()> {
         assert_eq!(
             self.param_values.len(),
             self.n_param,
             "cannot enumerate a symbolic scanner with parameters"
         );
-        assert!(
-            prefix.len() <= self.n_dim,
-            "prefix longer than dimension count"
-        );
-        let fill = |point: &mut Vec<i64>| {
+        // `[params…, dims…]` with the parameters filled in.
+        let start = || {
+            let mut point = vec![0i64; self.n_param + self.n_dim];
             point[..self.n_param].copy_from_slice(&self.param_values);
-            point[self.n_param..self.n_param + prefix.len()].copy_from_slice(prefix);
+            point
         };
         if self.branches.len() == 1 {
-            let mut point = vec![0i64; self.n_param + self.n_dim];
-            fill(&mut point);
-            self.walk(&self.branches[0], prefix.len(), &mut point, f)?;
+            self.walk(&self.branches[0], 0, &mut start(), f)?;
             return Ok(());
         }
         // Union: collect + dedup to keep `f` single-visit semantics.
         let mut seen: BTreeSet<Vec<i64>> = BTreeSet::new();
         for br in &self.branches {
-            let mut point = vec![0i64; self.n_param + self.n_dim];
-            fill(&mut point);
-            self.walk(br, prefix.len(), &mut point, &mut |p: &[i64]| {
+            self.walk(br, 0, &mut start(), &mut |p: &[i64]| {
                 seen.insert(p.to_vec());
                 true
             })?;
@@ -497,49 +474,6 @@ mod tests {
         let sc = Scanner::new(&s, &[]).unwrap();
         let pts = sc.points().unwrap();
         assert_eq!(pts, vec![vec![0, 0], vec![2, 1], vec![4, 2], vec![6, 3]]);
-    }
-
-    #[test]
-    fn prefix_walk_matches_filter() {
-        let s = set("{ S[i,j] : 0 <= i <= 3 and 0 <= j <= i }");
-        let sc = Scanner::new(&s, &[]).unwrap();
-        let mut pts = Vec::new();
-        sc.for_each_under(&[2], &mut |p| {
-            pts.push(p.to_vec());
-            true
-        })
-        .unwrap();
-        assert_eq!(pts, vec![vec![2, 0], vec![2, 1], vec![2, 2]]);
-        // A prefix outside the set yields nothing (leaf test filters it).
-        let mut n = 0;
-        sc.for_each_under(&[9], &mut |_| {
-            n += 1;
-            true
-        })
-        .unwrap();
-        assert_eq!(n, 0);
-        // Empty prefix is the plain enumeration.
-        let mut m = 0;
-        sc.for_each_under(&[], &mut |_| {
-            m += 1;
-            true
-        })
-        .unwrap();
-        assert_eq!(m, 10);
-    }
-
-    #[test]
-    fn prefix_walk_dedups_unions() {
-        let s =
-            set("{ S[i,j] : 0 <= i <= 2 and 0 <= j <= 2; S[i,j] : 1 <= i <= 3 and 1 <= j <= 3 }");
-        let sc = Scanner::new(&s, &[]).unwrap();
-        let mut pts = Vec::new();
-        sc.for_each_under(&[1], &mut |p| {
-            pts.push(p.to_vec());
-            true
-        })
-        .unwrap();
-        assert_eq!(pts, vec![vec![1, 0], vec![1, 1], vec![1, 2], vec![1, 3]]);
     }
 
     #[test]

@@ -423,21 +423,6 @@ impl Set {
         Ok(Some(out))
     }
 
-    /// An arbitrary point of the set for the given parameter values
-    /// (`None` when empty). The set must be bounded.
-    ///
-    /// # Errors
-    /// Returns an error if the set is unbounded or on overflow.
-    pub fn sample_point(&self, param_values: &[i64]) -> Result<Option<Vec<i64>>> {
-        let scanner = crate::scan::Scanner::new(self, param_values)?;
-        let mut out = None;
-        scanner.for_each(&mut |p: &[i64]| {
-            out = Some(p.to_vec());
-            false
-        })?;
-        Ok(out)
-    }
-
     /// Substitutes concrete parameter values, leaving a parameter-free set.
     ///
     /// # Errors
@@ -793,16 +778,6 @@ mod tests {
         assert!(Set::from_basic(BasicSet::universe(sp))
             .fixed_params(&[1, 2])
             .is_err());
-    }
-
-    #[test]
-    fn sample_point_finds_a_member() {
-        let s = interval(5, 9);
-        let p = s.sample_point(&[]).unwrap().unwrap();
-        assert!(s.contains(&p).unwrap());
-        assert_eq!(p, vec![5], "lexicographic scan starts at the minimum");
-        let e = Set::empty(sp1());
-        assert_eq!(e.sample_point(&[]).unwrap(), None);
     }
 
     #[test]

@@ -193,14 +193,6 @@ impl UnionMap {
             .collect()
     }
 
-    /// Parts whose range tuple is named `name`.
-    pub fn parts_to(&self, name: &str) -> Vec<&Map> {
-        self.parts
-            .iter()
-            .filter(|p| p.space().out_tuple().name() == Some(name))
-            .collect()
-    }
-
     /// Whether every part is empty.
     ///
     /// # Errors
@@ -381,7 +373,6 @@ mod tests {
         assert!(um.domain().unwrap().part_named("S").is_some());
         assert!(um.range().unwrap().part_named("A").is_some());
         assert_eq!(um.parts_from("S").len(), 1);
-        assert_eq!(um.parts_to("A").len(), 1);
         assert_eq!(um.parts_from("X").len(), 0);
         assert!(!um.is_empty().unwrap());
     }

@@ -96,14 +96,6 @@ impl TileDag {
         self.succs.iter().map(Vec::len).sum()
     }
 
-    /// The id of the task with the given prefix, if any.
-    #[must_use]
-    pub fn task_index(&self, prefix: &[i64]) -> Option<usize> {
-        self.tasks
-            .binary_search_by(|t| t.as_slice().cmp(prefix))
-            .ok()
-    }
-
     /// Removes one edge (the lexicographically first) and fixes up
     /// `n_preds`. Returns `false` when there is no edge to drop.
     ///
@@ -375,7 +367,7 @@ mod tests {
         assert_eq!(dag.n_tasks(), 9);
         // Corner tile (0,0) has no predecessors; every other tile waits on
         // its west / south / south-west neighbours that exist.
-        let id = |ot: i64, oi: i64| dag.task_index(&[ot, oi]).unwrap();
+        let id = |ot: i64, oi: i64| dag.tasks.iter().position(|t| t == &[ot, oi]).unwrap();
         assert_eq!(dag.n_preds[id(0, 0)], 0);
         assert!(dag.succs[id(0, 0)].contains(&id(0, 1)));
         assert!(dag.succs[id(0, 0)].contains(&id(1, 0)));

@@ -3,8 +3,8 @@
 //! outer band carries a dependence, so no loop-level cut can parallelize
 //! it) and every PolyMage workload on its optimized tree, at two tile
 //! sizes, at 1/2/4 worker threads (1/2/4/8 on the stencil — the CI
-//! thread-count soak): the tile DAG on both execution backends — plus the
-//! single-threaded adversarial drain (latest ready task first) — and
+//! thread-count soak): the tile DAG — plus the single-threaded adversarial
+//! drain (latest ready task first) — and
 //! `execute_compiled`'s edge-free tasks. Small hand-built inputs steer a
 //! pinned task prefix across every bytecode instruction kind. Every run
 //! must produce bit-identical buffers AND identical execution statistics
@@ -49,8 +49,8 @@ fn assert_bit_exact(
     assert_eq!(seq.1, dag.1, "{what}: execution statistics differ");
 }
 
-/// Builds the tile DAG for one tree and runs it on both backends at every
-/// thread count plus the adversarial drain, then the compiled program with
+/// Builds the tile DAG for one tree and runs it at every thread count plus
+/// the adversarial drain, then the compiled program with
 /// its coincident loops cut into pool tasks at every thread count, pinning
 /// each run bit-exactly to the sequential interpreter.
 fn check_tree(
@@ -72,29 +72,27 @@ fn check_tree(
     }
     let dag = build_tile_dag(program, tree, &[], scopes)
         .unwrap_or_else(|e| panic!("{label}: build_tile_dag failed: {e}"));
-    for backend in [ExecBackend::Interp, ExecBackend::Vm] {
-        for (threads, adversarial) in threads
-            .iter()
-            .map(|&t| (t, false))
-            .chain(std::iter::once((1, true)))
-        {
-            let what = format!(
-                "{label} {backend} threads={threads}{}",
-                if adversarial { " adversarial" } else { "" }
-            );
-            let got = execute_tree_dag_with(
-                program,
-                tree,
-                &[],
-                scopes,
-                threads,
-                backend,
-                &dag,
-                adversarial,
-            )
-            .unwrap_or_else(|e| panic!("{what}: DAG run failed: {e}"));
-            assert_bit_exact(program, &what, &seq, &got);
-        }
+    for (threads, adversarial) in threads
+        .iter()
+        .map(|&t| (t, false))
+        .chain(std::iter::once((1, true)))
+    {
+        let what = format!(
+            "{label} DAG threads={threads}{}",
+            if adversarial { " adversarial" } else { "" }
+        );
+        let got = execute_tree_dag_with(
+            program,
+            tree,
+            &[],
+            scopes,
+            threads,
+            ExecBackend::Vm,
+            &dag,
+            adversarial,
+        )
+        .unwrap_or_else(|e| panic!("{what}: DAG run failed: {e}"));
+        assert_bit_exact(program, &what, &seq, &got);
     }
 }
 
@@ -131,9 +129,10 @@ fn wavefront_stencil_bit_exact_and_parallelized() {
 
 #[test]
 fn polymage_workloads_bit_exact_on_dag_runtime() {
-    // The matrix is 6 workloads × 2 tiles × 2 backends × 4 runs; a debug
-    // interpreter is ~10× slower, so the unoptimized profile trades image
-    // size for the same structural coverage.
+    // The matrix is 6 workloads × 2 tiles × 7 runs (3 compiled, 4 DAG)
+    // after one sequential interpretation each; a debug interpreter is ~10×
+    // slower, so the unoptimized profile trades image size for the same
+    // structural coverage.
     let img = if cfg!(debug_assertions) { 8 } else { 12 };
     for w in tilefuse::workloads::polymage::all(img, img).expect("workloads") {
         for tile in [&[4i64, 4][..], &[2, 2][..]] {

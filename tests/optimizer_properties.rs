@@ -108,8 +108,7 @@ fn random_pipeline_post_tiling_fusion_is_correct() {
     }
 }
 
-/// Parallel execution — the tile DAG on the interpreter, and the compiled
-/// program with its coincident loops cut into pool tasks — must be
+/// Parallel execution — the tile DAG, and the compiled program with its coincident loops cut into pool tasks — must be
 /// *bit-identical* to the sequential interpreter — buffers and statistics
 /// — on optimized (tiled, post-tiling-fused, scratch-carrying) schedules,
 /// for every thread count.
@@ -132,7 +131,7 @@ fn random_pipeline_parallel_execution_is_bit_identical() {
         let compiled = lower_tree(&p, &o.tree, &[], scopes).unwrap();
         for threads in [2, 5] {
             let runs = [
-                execute_tree_dag(&p, &o.tree, &[], scopes, threads, ExecBackend::Interp).unwrap(),
+                execute_tree_dag(&p, &o.tree, &[], scopes, threads, ExecBackend::Vm).unwrap(),
                 execute_compiled(&p, &compiled, threads).unwrap(),
             ];
             for (par, par_stats) in runs {
