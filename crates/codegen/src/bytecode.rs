@@ -109,14 +109,29 @@ impl CLevel {
     }
 }
 
+/// How the VM enumerates one instance level of a stream.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum InstLevel {
+    /// A runtime range: combine and reduction dims, equalities with a
+    /// coefficient other than 1, union boxes without a filter.
+    Range(CLevel),
+    /// The dimension equals `at` over the outer registers: every group of
+    /// the level held `x >= at` and `x <= at`. The point exists iff every
+    /// `check` row evaluates to a non-negative value — the level's other
+    /// rows with `at` substituted, minus those the enclosing guards
+    /// already hold (see `lower`'s invariant 5).
+    Pinned { at: CAffine, check: Vec<CAffine> },
+}
+
 /// One disjunct of one flattened entry's schedule graph, viewed as a
 /// scannable loop nest over `[sched dims..., instance dims...]`.
 #[derive(Debug, Clone)]
 pub(crate) struct StreamMeta {
     /// Index of the owning flattened entry (execution-order tiebreak).
     pub entry: usize,
-    /// Per-instance-dim bounds (levels `n_sched..n_sched + n_inst`).
-    pub inst_levels: Vec<CLevel>,
+    /// Per-instance-dim levels (`n_sched..n_sched + n_inst`), pinned where
+    /// lowering could name the one value a range would contain.
+    pub inst_levels: Vec<InstLevel>,
     /// Exact membership test of the point `[sched | inst]`. Present when
     /// the disjunct carries existential divs (the compiled per-level
     /// bounds are exact otherwise — see `Scanner::branch_exact`), or when
@@ -180,7 +195,8 @@ pub(crate) struct LoopMeta {
     pub guards: Vec<StreamGuard>,
     /// Scratch buffers (indices into [`CompiledProgram::scratch`]) whose
     /// scope is deeper than `dim`: cleared on every increment, exactly
-    /// when the interpreter's prefix-change test would clear them.
+    /// when the interpreter's prefix-change test would clear them. (The
+    /// VM bumps one epoch per distinct scope of the list.)
     pub clears: Vec<usize>,
 }
 
@@ -240,12 +256,13 @@ pub(crate) struct FiberMeta {
     /// Streams that may be active here (subset of the entry's streams).
     pub streams: Vec<usize>,
     /// Streams partitioned into *walk groups*: members of a group have
-    /// identical instance-level bounds and exactness test, so their
-    /// instance boxes coincide at every schedule point and one walk per
-    /// group (if any member is active) covers them all. Disjunct
-    /// case-splits of a tiled halo relation produce many streams
-    /// that differ only in schedule-dim coverage — this collapses the
-    /// per-point fiber cost from O(streams) to O(groups).
+    /// identical instance levels and exactness test, so at every schedule
+    /// point where a member is active the group's walk enumerates that
+    /// member's instances, and one walk per group (if any member is
+    /// active) covers them all. Disjunct case-splits of a tiled halo
+    /// relation produce many streams that differ only in schedule-dim
+    /// coverage — this collapses the per-point fiber cost from
+    /// O(streams) to O(groups).
     pub groups: Vec<Vec<usize>>,
     /// The compiled statement body.
     pub body: usize,
@@ -266,8 +283,8 @@ pub(crate) enum Inst {
     /// Pin a schedule dimension to a compile-time constant (static
     /// sequence/padding dims — no runtime loop is spun).
     SetDim { dim: usize, value: i64 },
-    /// Advance the epoch of the listed scratch buffers (emitted between
-    /// static partitions, mirroring a prefix change at that depth).
+    /// Advance the epochs of the listed scratch buffers' scopes (emitted
+    /// between static partitions, mirroring a prefix change at that depth).
     Clear(Vec<usize>),
     /// Run `fibers[i]` under the current schedule point.
     Fiber(usize),
@@ -276,8 +293,8 @@ pub(crate) enum Inst {
 }
 
 /// A compiled affine expression over the integer registers (an access
-/// coordinate, or a row of a [`CDisjunct`]); parameters folded into
-/// `constant`.
+/// coordinate, a row of a [`CDisjunct`], or a pinned level's value or
+/// check row); parameters folded into `constant`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct CAffine {
     pub terms: Vec<(usize, i64)>,

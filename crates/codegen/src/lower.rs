@@ -29,23 +29,46 @@
 //! 3. **Scratch** — a clear is attached to every loop increment (and
 //!    emitted between static partitions) at depth `d` for each scratch
 //!    buffer of scope `> d`: exactly the set the interpreter clears when
-//!    consecutive schedule tuples first differ at `d`.
+//!    consecutive schedule tuples first differ at `d`. Every buffer of a
+//!    scope is in the list or none is, so the VM advances one epoch per
+//!    distinct scope of the list.
 //! 4. **Parallelism** — a loop is marked parallel iff `parallel_depths`
 //!    holds at its depth (all entries coincident, all scratch scopes
 //!    deeper); such dimensions are never turned into static partitions, so
 //!    `execute_compiled` can cut their iterations into pool tasks.
+//! 5. **Pins** — an instance level is [`InstLevel::Pinned`] at `f` iff
+//!    some affine `f` of coefficient 1 gives `x >= f` in every lower group
+//!    and `x <= f` in every upper group; the VM then sets `x = f` instead
+//!    of evaluating a range that holds `f` or nothing. A single-group
+//!    level holds `f` iff each of its other rows holds with `f`
+//!    substituted, so those rows become the level's `check`, except two
+//!    kinds that already hold: a row that folds to a true constant, and a
+//!    row identical to one of the stream's own single-group schedule-level
+//!    rows — the enclosing loop guard, fused range or static partition
+//!    checked that row while the stream was active, and every member of a
+//!    fiber walk group has the same `check`, so whichever member is active
+//!    held it. This holds with or without an exact filter, so the walk
+//!    descends exactly where the range was non-empty and never meets a
+//!    deeper level the range walk would not have reached (a deeper
+//!    unbounded level would raise an error the range walk never raised).
+//!    A multi-group level (a union box) lies inside `{f}`; it is
+//!    pinned with an empty `check` only when the stream carries its exact
+//!    filter, which rejects `f` exactly where the empty box used to skip
+//!    (a member point satisfies every row of its own disjunct). Without a
+//!    filter it stays a range.
 //!
 //! [`Scanner`]: tilefuse_presburger::Scanner
 //! [`BasicSet`]: tilefuse_presburger::BasicSet
 //! [`Inst::SetDim`]: crate::bytecode::Inst::SetDim
 //! [`Inst::LoopOpen`]: crate::bytecode::Inst::LoopOpen
+//! [`InstLevel::Pinned`]: crate::bytecode::InstLevel::Pinned
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::bytecode::{
     BodyOp, BufMeta, CAccess, CAffine, CBound, CDisjunct, CFilter, CLevel, CompiledBody,
-    CompiledProgram, FiberMeta, FusedMeta, Inst, KernelKind, LoopMeta, ScratchMeta, StreamGuard,
-    StreamMeta,
+    CompiledProgram, FiberMeta, FusedMeta, Inst, InstLevel, KernelKind, LoopMeta, ScratchMeta,
+    StreamGuard, StreamMeta,
 };
 use crate::error::{Error, Result};
 use crate::interp::make_binding;
@@ -231,25 +254,123 @@ fn level_shape(level: &CLevel) -> LevelShape {
     }
 }
 
-/// Whether a level's bounds pin the dimension to an affine function of the
-/// outer dimensions (an equality constraint): used only to classify fused
-/// kernels for the disassembly.
-fn level_pinned(level: &CLevel) -> bool {
-    let ([lowers], [uppers]) = (&level.lowers[..], &level.uppers[..]) else {
-        return false; // union boxes span a range by construction
-    };
-    lowers.iter().any(|lo| {
-        uppers.iter().any(|up| {
-            lo.coeff == up.coeff
-                && lo.constant == -up.constant
-                && lo.terms.len() == up.terms.len()
-                && lo
-                    .terms
-                    .iter()
-                    .zip(&up.terms)
-                    .all(|(&(r1, c1), &(r2, c2))| r1 == r2 && c1 == -c2)
+/// A bound row on `x` with the pin `at` substituted, as a `row >= 0`
+/// constraint: a lower bound `coeff·x >= -eval` gives `eval + coeff·at`,
+/// an upper bound `coeff·x <= eval` gives `eval - coeff·at`. Terms come
+/// out in register order without zero coefficients, the canonical form of
+/// [`caffine_row`], which [`held_by_guard`] relies on.
+fn bound_row(b: &CBound, lower: bool, at: &CAffine) -> CAffine {
+    let k = if lower { b.coeff } else { -b.coeff };
+    let mut terms: Vec<(usize, i64)> = b
+        .terms
+        .iter()
+        .copied()
+        .chain(at.terms.iter().map(|&(r, c)| (r, k * c)))
+        .collect();
+    terms.sort_unstable_by_key(|&(r, _)| r);
+    terms.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    terms.retain(|&(_, c)| c != 0);
+    CAffine {
+        terms,
+        constant: b.constant + k * at.constant,
+    }
+}
+
+/// The affine `f` that every group of `level` pins the dimension to:
+/// each lower group holds `x >= f` and each upper group `x <= f`, both
+/// with coefficient 1. The search is over the pins common to all groups,
+/// not over the first pin of each.
+fn common_pin(level: &CLevel) -> Option<CAffine> {
+    if level.lowers.is_empty() {
+        return None;
+    }
+    let first = level.uppers.first()?;
+    first.iter().filter(|up| up.coeff == 1).find_map(|up| {
+        let lo = CBound {
+            coeff: 1,
+            terms: up.terms.iter().map(|&(r, c)| (r, -c)).collect(),
+            constant: -up.constant,
+        };
+        let common = level.uppers.iter().all(|g| g.contains(up))
+            && level.lowers.iter().all(|g| g.contains(&lo));
+        common.then(|| CAffine {
+            terms: up.terms.clone(),
+            constant: up.constant,
         })
     })
+}
+
+/// Whether `row >= 0` is one of the rows of the stream's single-group
+/// schedule levels, which the enclosing loop guard, fused range or static
+/// partition checked while the stream was active (invariant 5). A row of
+/// level `d` is `eval ± coeff·d` with `eval` over outer registers only,
+/// so `d` is its last register and the rest is the bound's own `eval`.
+fn held_by_guard(row: &CAffine, sched: &[CLevel]) -> bool {
+    let Some((&(d, c), eval)) = row.terms.split_last() else {
+        return false;
+    };
+    let Some(([lowers], [uppers])) = sched.get(d).map(|l| (&l.lowers[..], &l.uppers[..])) else {
+        return false;
+    };
+    let group = if c > 0 { lowers } else { uppers };
+    group
+        .iter()
+        .any(|b| b.coeff == c.abs() && b.terms == eval && b.constant == row.constant)
+}
+
+/// Resolves one instance level by the pin rule (invariant 5). A pinned
+/// single-group level keeps, as `check`, every other row with the pin
+/// substituted, except rows that fold to a true constant or that a
+/// schedule level of `sched` (the stream's own) holds. A pinned union box
+/// is a subset of the pin, so a stream with a `filtered` leaf needs no
+/// check; without a filter it stays a range.
+fn inst_level(level: CLevel, sched: &[CLevel], filtered: bool) -> InstLevel {
+    let Some(at) = common_pin(&level) else {
+        return InstLevel::Range(level);
+    };
+    let ([lowers], [uppers]) = (&level.lowers[..], &level.uppers[..]) else {
+        return if filtered {
+            InstLevel::Pinned {
+                at,
+                check: Vec::new(),
+            }
+        } else {
+            InstLevel::Range(level)
+        };
+    };
+    let mut check: Vec<CAffine> = lowers
+        .iter()
+        .map(|b| bound_row(b, true, &at))
+        .chain(uppers.iter().map(|b| bound_row(b, false, &at)))
+        .filter(|r| !(held_by_guard(r, sched) || r.terms.is_empty() && r.constant >= 0))
+        .collect();
+    check.sort_unstable();
+    check.dedup();
+    InstLevel::Pinned { at, check }
+}
+
+/// A stream's program-level form: its instance levels resolved against
+/// its own schedule levels.
+fn stream_meta(
+    entry: usize,
+    sched: &[CLevel],
+    inst: Vec<CLevel>,
+    exact: Option<CFilter>,
+) -> StreamMeta {
+    StreamMeta {
+        entry,
+        inst_levels: inst
+            .into_iter()
+            .map(|l| inst_level(l, sched, exact.is_some()))
+            .collect(),
+        exact,
+    }
 }
 
 /// One scannable disjunct during lowering: the program-level
@@ -362,7 +483,8 @@ impl Emitter<'_> {
     }
 
     fn classify(&self, s: usize) -> KernelKind {
-        if !self.streams[s].inst_levels.iter().all(level_pinned) {
+        let pinned = |l: &InstLevel| matches!(l, InstLevel::Pinned { .. });
+        if !self.streams[s].inst_levels.iter().all(pinned) {
             return KernelKind::Combine;
         }
         let body = &self.bodies[self.entry_body[self.streams[s].entry]];
@@ -734,7 +856,8 @@ pub fn lower_tree(
         // one representative per distinct triple.
         let mut seen = BTreeSet::new();
         let mut e_lstreams = Vec::new();
-        let mut e_streams = Vec::new();
+        // Per stream: its instance levels and exact filter.
+        let mut e_streams: Vec<(Vec<CLevel>, Option<CFilter>)> = Vec::new();
         for bi in 0..scanner.n_branch() {
             let exact_set = scanner.branch_exact(bi);
             if empty_under_params(exact_set, &values) {
@@ -760,11 +883,10 @@ pub fn lower_tree(
                 continue;
             }
             e_lstreams.push(LStream { sched });
-            e_streams.push(StreamMeta {
-                entry: order,
+            e_streams.push((
                 inst_levels,
-                exact: divful.then(|| cfilter([exact_set], n_param, &values)),
-            });
+                divful.then(|| cfilter([exact_set], n_param, &values)),
+            ));
         }
         // Tile-halo relations decompose into dozens of clip case-split
         // disjuncts (81 for a 2-D halo); kept as separate streams they make
@@ -779,23 +901,22 @@ pub fn lower_tree(
         let bounded = e_streams
             .iter()
             .zip(&e_lstreams)
-            .all(|(sm, ls)| sm.inst_levels.iter().chain(&ls.sched).all(level_bounded));
+            .all(|((inst, _), ls)| inst.iter().chain(&ls.sched).all(level_bounded));
         if e_streams.len() > MERGE_THRESHOLD && bounded {
             let sched: Vec<CLevel> = (0..n_sched)
                 .map(|d| merge_levels(e_lstreams.iter().map(|ls| &ls.sched[d])))
                 .collect();
             let inst_levels: Vec<CLevel> = (0..n_inst)
-                .map(|k| merge_levels(e_streams.iter().map(|sm| &sm.inst_levels[k])))
+                .map(|k| merge_levels(e_streams.iter().map(|(inst, _)| &inst[k])))
                 .collect();
+            let exact = Some(cfilter(ws.basics(), n_param, &values));
+            streams.push(stream_meta(order, &sched, inst_levels, exact));
             lstreams.push(LStream { sched });
-            streams.push(StreamMeta {
-                entry: order,
-                inst_levels,
-                exact: Some(cfilter(ws.basics(), n_param, &values)),
-            });
         } else {
-            lstreams.extend(e_lstreams);
-            streams.extend(e_streams);
+            for (ls, (inst, exact)) in e_lstreams.into_iter().zip(e_streams) {
+                streams.push(stream_meta(order, &ls.sched, inst, exact));
+                lstreams.push(ls);
+            }
         }
     }
 
@@ -886,6 +1007,151 @@ mod tests {
                 "{} disjuncts",
                 f.rows.len()
             );
+        }
+    }
+
+    /// `x >= t` as a lower-bound row over the terms `t` (register, coeff).
+    fn ge(terms: &[(usize, i64)], constant: i64) -> CBound {
+        CBound {
+            coeff: 1,
+            terms: terms.iter().map(|&(r, c)| (r, -c)).collect(),
+            constant: -constant,
+        }
+    }
+
+    /// `x <= t` as an upper-bound row.
+    fn le(terms: &[(usize, i64)], constant: i64) -> CBound {
+        CBound {
+            coeff: 1,
+            terms: terms.to_vec(),
+            constant,
+        }
+    }
+
+    fn affine(terms: &[(usize, i64)], constant: i64) -> CAffine {
+        CAffine {
+            terms: terms.to_vec(),
+            constant,
+        }
+    }
+
+    /// Schedule levels whose dimension 4 is guarded by `0 <= d4 <= 451`.
+    fn guarded_d4() -> Vec<CLevel> {
+        let mut sched = vec![CLevel::default(); 5];
+        sched[4] = CLevel {
+            lowers: vec![vec![ge(&[], 0)]],
+            uppers: vec![vec![le(&[], 451)]],
+        };
+        sched
+    }
+
+    #[test]
+    fn single_group_pin_keeps_only_rows_the_guards_do_not_hold() {
+        let d4 = [(4, 1)];
+        let level = CLevel {
+            lowers: vec![vec![ge(&d4, 0)]],
+            uppers: vec![vec![le(&d4, 0), le(&[], 511)]],
+        };
+        let sched = guarded_d4();
+        // `x <= 511` becomes `511 - d4 >= 0`: not the guard `451 - d4 >= 0`.
+        assert_eq!(
+            inst_level(level, &sched, false),
+            InstLevel::Pinned {
+                at: affine(&d4, 0),
+                check: vec![affine(&[(4, -1)], 511)],
+            }
+        );
+        // `x >= 0` and `x <= 451` become exactly the guard rows, and
+        // `x >= d4 - 2` the true constant `2 >= 0`: all are dropped.
+        let level = CLevel {
+            lowers: vec![vec![ge(&[], 0), ge(&d4, -2), ge(&d4, 0)]],
+            uppers: vec![vec![le(&d4, 0), le(&[], 451)]],
+        };
+        assert_eq!(
+            inst_level(level, &sched, false),
+            InstLevel::Pinned {
+                at: affine(&d4, 0),
+                check: Vec::new(),
+            }
+        );
+    }
+
+    #[test]
+    fn union_box_pins_to_the_common_affine_only_under_a_filter() {
+        let (d1, d4) = ([(1, 4)], [(4, 1)]);
+        // The first upper group lists its own pin `x = 4d1 + 4` first: a
+        // first-match rule would try it and give up.
+        let level = CLevel {
+            lowers: vec![vec![ge(&d1, 4), ge(&d4, 0)], vec![ge(&[], 0), ge(&d4, 0)]],
+            uppers: vec![vec![le(&d1, 4), le(&d4, 0)], vec![le(&[], 511), le(&d4, 0)]],
+        };
+        assert_eq!(
+            inst_level(level.clone(), &[], true),
+            InstLevel::Pinned {
+                at: affine(&d4, 0),
+                check: Vec::new(),
+            }
+        );
+        assert_eq!(
+            inst_level(level.clone(), &[], false),
+            InstLevel::Range(level)
+        );
+    }
+
+    #[test]
+    fn different_pins_and_scaled_equalities_stay_ranges() {
+        let apart = CLevel {
+            lowers: vec![vec![ge(&[(4, 1)], 0)], vec![ge(&[(3, 1)], 0)]],
+            uppers: vec![vec![le(&[(4, 1)], 0)], vec![le(&[(3, 1)], 0)]],
+        };
+        assert_eq!(
+            inst_level(apart.clone(), &[], true),
+            InstLevel::Range(apart)
+        );
+        // `2x = d4`: `2x >= d4` and `2x <= d4`.
+        let scaled = CLevel {
+            lowers: vec![vec![CBound {
+                coeff: 2,
+                terms: vec![(4, -1)],
+                constant: 0,
+            }]],
+            uppers: vec![vec![CBound {
+                coeff: 2,
+                terms: vec![(4, 1)],
+                constant: 0,
+            }]],
+        };
+        assert_eq!(
+            inst_level(scaled.clone(), &[], false),
+            InstLevel::Range(scaled)
+        );
+    }
+
+    /// The claim of the pin rule rests on these two: every instance level
+    /// of Harris 32/4 (union boxes behind filters, and plain streams) and
+    /// of the tiled upwind stencil is resolved at lowering time.
+    #[test]
+    fn harris_and_upwind_instance_levels_are_all_pinned() {
+        let program = tilefuse_workloads::polymage::harris(32, 32)
+            .unwrap()
+            .program;
+        let opt = tilefuse_core::optimize(&program, &tilefuse_core::Options::cpu(&[4, 4])).unwrap();
+        let harris = lower_tree(&program, &opt.tree, &[], &opt.report.scratch_scopes).unwrap();
+        let program = tilefuse_workloads::wavefront::upwind(512, 512)
+            .unwrap()
+            .program;
+        let tree = tilefuse_workloads::wavefront::tiled_tree(64).unwrap();
+        let upwind = lower_tree(&program, &tree, &[], &BTreeMap::new()).unwrap();
+        for compiled in [&harris, &upwind] {
+            for (s, sm) in compiled.streams.iter().enumerate() {
+                for (k, level) in sm.inst_levels.iter().enumerate() {
+                    assert!(
+                        matches!(level, InstLevel::Pinned { .. }),
+                        "{}: stream {s} level {k} is {level:?}",
+                        compiled.name
+                    );
+                }
+            }
         }
     }
 

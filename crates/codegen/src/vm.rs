@@ -4,9 +4,11 @@
 //! Where the interpreter materializes and sorts the full `(schedule tuple,
 //! instance)` work list and re-resolves names per instance, the VM walks
 //! the compiled loop nest directly: integer dim registers drive compiled
-//! affine bounds, statement bodies run as flat register programs, and
-//! tile-local scratch is an epoch-stamped flat array — clearing a tile is
-//! an epoch bump, not a `BTreeMap` sweep. Statistics (instances, loads,
+//! affine bounds, a pinned instance level sets its register from one
+//! affine instead of looping over a one-point range, statement bodies run
+//! as flat register programs, and tile-local scratch is an epoch-stamped
+//! flat array — clearing a tile is one epoch bump per scratch scope, not a
+//! `BTreeMap` sweep. Statistics (instances, loads,
 //! stores, scratch hits) are counted at exactly the interpreter's points,
 //! so [`ExecStats`] match bit-for-bit.
 //!
@@ -20,7 +22,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::bytecode::{BodyOp, CAccess, CFilter, CLevel, CompiledProgram, FiberMeta, Inst};
+use crate::bytecode::{
+    BodyOp, CAccess, CAffine, CFilter, CLevel, CompiledProgram, FiberMeta, Inst, InstLevel,
+};
 use crate::error::{Error, Result};
 use crate::interp::{default_threads, ExecContext, ExecStats};
 use tilefuse_pir::{BinOp, Program, UnOp};
@@ -97,57 +101,56 @@ impl RawStats {
     }
 }
 
-/// Epoch-stamped tile-local storage: `clear` is an epoch bump; an element
-/// is live iff its stamp equals the current epoch. Out-of-range or
+/// Epoch-stamped tile-local storage of one buffer: an element is live iff
+/// its stamp equals its scope's epoch ([`Machine::epochs`]), so clearing
+/// the scope is one bump for all of its buffers. Out-of-range or
 /// wrong-arity coordinates — which the interpreter's `BTreeMap` scratch
 /// accepts silently — spill to a side map so the semantics stay identical.
 struct ScratchState {
+    /// Index of the buffer's scope in [`Machine::epochs`].
+    scope: usize,
     data: Vec<f64>,
     stamp: Vec<u32>,
-    epoch: u32,
     side: BTreeMap<Vec<i64>, (u32, f64)>,
 }
 
 impl ScratchState {
-    fn new(len: usize) -> Self {
+    fn new(scope: usize, len: usize) -> Self {
         ScratchState {
+            scope,
             data: vec![0.0; len],
             stamp: vec![0; len],
-            epoch: 1,
             side: BTreeMap::new(),
         }
     }
 
-    fn clear(&mut self) {
-        if self.epoch == u32::MAX {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-            self.side.clear();
-        } else {
-            self.epoch += 1;
-        }
+    /// Forgets every stamp: run when the scope's epoch wraps, so a stamp
+    /// from an earlier round can never match again.
+    fn reset(&mut self) {
+        self.stamp.fill(0);
+        self.side.clear();
     }
 
     #[inline]
-    fn get(&self, idx: usize) -> Option<f64> {
-        (self.stamp[idx] == self.epoch).then(|| self.data[idx])
+    fn get(&self, idx: usize, epoch: u32) -> Option<f64> {
+        (self.stamp[idx] == epoch).then(|| self.data[idx])
     }
 
     #[inline]
-    fn put(&mut self, idx: usize, v: f64) {
+    fn put(&mut self, idx: usize, v: f64, epoch: u32) {
         self.data[idx] = v;
-        self.stamp[idx] = self.epoch;
+        self.stamp[idx] = epoch;
     }
 
-    fn get_side(&self, coords: &[i64]) -> Option<f64> {
+    fn get_side(&self, coords: &[i64], epoch: u32) -> Option<f64> {
         self.side
             .get(coords)
-            .filter(|(e, _)| *e == self.epoch)
+            .filter(|(e, _)| *e == epoch)
             .map(|&(_, v)| v)
     }
 
-    fn put_side(&mut self, coords: Vec<i64>, v: f64) {
-        self.side.insert(coords, (self.epoch, v));
+    fn put_side(&mut self, coords: Vec<i64>, v: f64, epoch: u32) {
+        self.side.insert(coords, (epoch, v));
     }
 }
 
@@ -172,6 +175,12 @@ pub(crate) struct Machine<'p> {
     active: Vec<bool>,
     lstate: Vec<LoopState>,
     scratch: Vec<ScratchState>,
+    /// One epoch per distinct scratch scope, in ascending scope order.
+    epochs: Vec<u32>,
+    /// Per instruction, the distinct scopes whose epochs it advances: those
+    /// of an [`Inst::Clear`] list or of a [`Inst::LoopClose`]'s
+    /// `LoopMeta::clears`, empty elsewhere.
+    clear_scopes: Vec<Vec<usize>>,
     regs: Vec<f64>,
     stats: RawStats,
     n_threads: usize,
@@ -189,6 +198,20 @@ pub(crate) struct Machine<'p> {
 impl<'p> Machine<'p> {
     pub(crate) fn new(prog: &'p CompiledProgram, n_threads: usize) -> Self {
         let n_regs = prog.bodies.iter().map(|b| b.n_regs).max().unwrap_or(1);
+        let mut scopes: Vec<usize> = prog.scratch.iter().map(|s| s.scope).collect();
+        scopes.sort_unstable();
+        scopes.dedup();
+        let slot: Vec<usize> = prog
+            .scratch
+            .iter()
+            .map(|s| scopes.partition_point(|&v| v < s.scope))
+            .collect();
+        let distinct = |list: &[usize]| {
+            let mut out: Vec<usize> = list.iter().map(|&s| slot[s]).collect();
+            out.sort_unstable();
+            out.dedup();
+            out
+        };
         Machine {
             prog,
             dims: vec![0; prog.n_sched + prog.max_inst],
@@ -197,7 +220,18 @@ impl<'p> Machine<'p> {
             scratch: prog
                 .scratch
                 .iter()
-                .map(|s| ScratchState::new(prog.bufs[s.buf].len))
+                .zip(&slot)
+                .map(|(s, &sc)| ScratchState::new(sc, prog.bufs[s.buf].len))
+                .collect(),
+            epochs: vec![1; scopes.len()],
+            clear_scopes: prog
+                .insts
+                .iter()
+                .map(|inst| match inst {
+                    Inst::Clear(list) => distinct(list),
+                    Inst::LoopClose(l) => distinct(&prog.loops[*l].clears),
+                    _ => Vec::new(),
+                })
                 .collect(),
             regs: vec![0.0; n_regs],
             stats: RawStats::new(prog.stmt_names.len()),
@@ -222,10 +256,8 @@ impl<'p> Machine<'p> {
                     self.dims[*dim] = *value;
                     ip += 1;
                 }
-                Inst::Clear(list) => {
-                    for &s in list {
-                        self.scratch[s].clear();
-                    }
+                Inst::Clear(_) => {
+                    self.clear(ip);
                     ip += 1;
                 }
                 Inst::LoopOpen(l) => {
@@ -245,6 +277,27 @@ impl<'p> Machine<'p> {
             }
         }
         Ok(())
+    }
+
+    /// Advances the epoch of scratch scope `sc`, so every buffer of the
+    /// scope reads as empty. On wrap the buffers' stamps and side maps are
+    /// reset, so no value stored before the wrap can hit after it.
+    fn bump(&mut self, sc: usize) {
+        if self.epochs[sc] == u32::MAX {
+            for s in self.scratch.iter_mut().filter(|s| s.scope == sc) {
+                s.reset();
+            }
+            self.epochs[sc] = 1;
+        } else {
+            self.epochs[sc] += 1;
+        }
+    }
+
+    /// Clears the scratch scopes named by the instruction at `ip`.
+    fn clear(&mut self, ip: usize) {
+        for i in 0..self.clear_scopes[ip].len() {
+            self.bump(self.clear_scopes[ip][i]);
+        }
     }
 
     /// Evaluates the loop's guards under the current outer dims: which
@@ -313,9 +366,7 @@ impl<'p> Machine<'p> {
             // The tasks leave what sequential execution would leave after
             // the last iteration; the next instance's prefix differs at
             // most at this depth, so clear everything scoped deeper.
-            for &s in &meta.clears {
-                self.scratch[s].clear();
-            }
+            self.clear(meta.close_ip);
             return Ok(meta.close_ip + 1);
         }
         self.loop_enter(l, state);
@@ -337,9 +388,7 @@ impl<'p> Machine<'p> {
                 self.lstate[l].cur = cur;
                 return meta.close_ip + 1;
             }
-            for &s in &meta.clears {
-                self.scratch[s].clear();
-            }
+            self.clear(meta.close_ip);
             let mut any = false;
             for (gi, g) in meta.guards.iter().enumerate() {
                 let (lo_s, hi_s) = self.lstate[l].ranges[gi];
@@ -410,8 +459,8 @@ impl<'p> Machine<'p> {
     pub(crate) fn run_under(&mut self, prefix: &[i64], mem: &mut Mem) -> Result<()> {
         let prog = self.prog;
         self.active.fill(true);
-        for s in &mut self.scratch {
-            s.clear();
+        for sc in 0..self.epochs.len() {
+            self.bump(sc);
         }
         let mut ip = 0;
         while ip < prog.insts.len() {
@@ -535,7 +584,17 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    /// Evaluates one instance level's `[lo, hi]` under the current dims.
+    /// A pinned level's one value under the current dims, or `None` when a
+    /// check row fails (the range it replaces would be empty).
+    #[inline]
+    fn pinned(&self, at: &CAffine, check: &[CAffine]) -> Option<i64> {
+        check
+            .iter()
+            .all(|r| r.eval(&self.dims) >= 0)
+            .then(|| at.eval(&self.dims))
+    }
+
+    /// Evaluates a range level's `[lo, hi]` under the current dims.
     /// `None` means empty; an error mirrors the scanner's `Unbounded`.
     fn inst_range(&self, level: &CLevel, k: usize) -> Result<Option<(i64, i64)>> {
         let (Some(lo), Some(hi)) = (level.lo(&self.dims), level.hi(&self.dims)) else {
@@ -589,12 +648,22 @@ impl<'p> Machine<'p> {
             return self.exec_body(meta.body, mem);
         }
         let prog = self.prog;
-        let Some((lo, hi)) = self.inst_range(&prog.streams[s].inst_levels[k], k)? else {
-            return Ok(());
-        };
-        for v in lo..=hi {
-            self.dims[prog.n_sched + k] = v;
-            self.walk_exec(s, k + 1, meta, mem)?;
+        let x = prog.n_sched + k;
+        match &prog.streams[s].inst_levels[k] {
+            InstLevel::Pinned { at, check } => {
+                if let Some(v) = self.pinned(at, check) {
+                    self.dims[x] = v;
+                    self.walk_exec(s, k + 1, meta, mem)?;
+                }
+            }
+            InstLevel::Range(level) => {
+                if let Some((lo, hi)) = self.inst_range(level, k)? {
+                    for v in lo..=hi {
+                        self.dims[x] = v;
+                        self.walk_exec(s, k + 1, meta, mem)?;
+                    }
+                }
+            }
         }
         Ok(())
     }
@@ -615,12 +684,22 @@ impl<'p> Machine<'p> {
             out.insert(self.dims[prog.n_sched..prog.n_sched + n_inst].to_vec());
             return Ok(());
         }
-        let Some((lo, hi)) = self.inst_range(&prog.streams[s].inst_levels[k], k)? else {
-            return Ok(());
-        };
-        for v in lo..=hi {
-            self.dims[prog.n_sched + k] = v;
-            self.walk_collect(s, k + 1, n_inst, out)?;
+        let x = prog.n_sched + k;
+        match &prog.streams[s].inst_levels[k] {
+            InstLevel::Pinned { at, check } => {
+                if let Some(v) = self.pinned(at, check) {
+                    self.dims[x] = v;
+                    self.walk_collect(s, k + 1, n_inst, out)?;
+                }
+            }
+            InstLevel::Range(level) => {
+                if let Some((lo, hi)) = self.inst_range(level, k)? {
+                    for v in lo..=hi {
+                        self.dims[x] = v;
+                        self.walk_collect(s, k + 1, n_inst, out)?;
+                    }
+                }
+            }
         }
         Ok(())
     }
@@ -672,9 +751,11 @@ impl<'p> Machine<'p> {
                     let mut value = 0.0f64;
                     let mut served = false;
                     if let Some(sc) = bm.scratch {
+                        let st = &self.scratch[sc];
+                        let epoch = self.epochs[st.scope];
                         let hit = match flat {
-                            Some(idx) => self.scratch[sc].get(idx),
-                            None => self.scratch[sc].get_side(&self.coords(a)),
+                            Some(idx) => st.get(idx, epoch),
+                            None => st.get_side(&self.coords(a), epoch),
                         };
                         if let Some(v) = hit {
                             hits += 1;
@@ -727,11 +808,12 @@ impl<'p> Machine<'p> {
         let flat = self.flat_idx(&body.store, &bm.shape);
         self.stats.stores += 1;
         if let Some(sc) = bm.scratch {
+            let epoch = self.epochs[self.scratch[sc].scope];
             match flat {
-                Some(idx) => self.scratch[sc].put(idx, value),
+                Some(idx) => self.scratch[sc].put(idx, value, epoch),
                 None => {
                     let coords = self.coords(&body.store);
-                    self.scratch[sc].put_side(coords, value);
+                    self.scratch[sc].put_side(coords, value, epoch);
                 }
             }
         } else {
@@ -908,4 +990,68 @@ pub(crate) fn execute_compiled_dag(
 pub enum ExecBackend {
     /// The compiled bytecode VM (lower once, then run).
     Vm,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Harris 16/4 lowered with three scratch buffers in two scopes: two
+    /// at depth 3, one at depth 5.
+    fn two_scope_program() -> CompiledProgram {
+        let program = tilefuse_workloads::polymage::harris(16, 16)
+            .unwrap()
+            .program;
+        let opt = tilefuse_core::optimize(&program, &tilefuse_core::Options::cpu(&[4, 4])).unwrap();
+        let arrays: Vec<_> = program.arrays().iter().map(|a| a.id()).collect();
+        let scopes = BTreeMap::from([(arrays[0], 3), (arrays[1], 3), (arrays[2], 5)]);
+        crate::lower_tree(&program, &opt.tree, &[], &scopes).unwrap()
+    }
+
+    #[test]
+    fn clear_lists_map_to_distinct_scopes() {
+        let prog = two_scope_program();
+        let m = Machine::new(&prog, 1);
+        assert_eq!(m.epochs, vec![1, 1]);
+        let slots: Vec<usize> = m.scratch.iter().map(|s| s.scope).collect();
+        assert_eq!(slots, vec![0, 0, 1]);
+        let mut seen = 0;
+        for (ip, inst) in prog.insts.iter().enumerate() {
+            let list = match inst {
+                Inst::Clear(list) => list,
+                Inst::LoopClose(l) => &prog.loops[*l].clears,
+                _ => continue,
+            };
+            if list.len() == 3 {
+                assert_eq!(m.clear_scopes[ip], vec![0, 1], "ip {ip}");
+                seen += 1;
+            }
+        }
+        assert!(seen > 0, "no clear of every buffer to check");
+    }
+
+    #[test]
+    fn epoch_wrap_resets_exactly_its_scope() {
+        let prog = two_scope_program();
+        let mut m = Machine::new(&prog, 1);
+        // Store one element and one side-map entry per buffer at epoch 1.
+        for (i, s) in m.scratch.iter_mut().enumerate() {
+            s.put(0, i as f64, 1);
+            s.put_side(vec![-1], i as f64, 1);
+        }
+        // The next bump of scope 0 wraps its epoch back to 1, where the
+        // values stored above would hit again without the reset.
+        m.epochs[0] = u32::MAX;
+        m.bump(0);
+        assert_eq!(m.epochs, vec![1, 1]);
+        for s in &m.scratch[..2] {
+            assert!(s.stamp.iter().all(|&t| t == 0));
+            assert!(s.side.is_empty());
+            assert_eq!(s.get(0, m.epochs[0]), None);
+            assert_eq!(s.get_side(&[-1], m.epochs[0]), None);
+        }
+        let other = &m.scratch[2];
+        assert_eq!(other.get(0, m.epochs[1]), Some(2.0));
+        assert_eq!(other.get_side(&[-1], m.epochs[1]), Some(2.0));
+    }
 }

@@ -3,19 +3,15 @@
 //! example, at two tile sizes, sequentially and with coincident loops cut
 //! into pool tasks, the VM must produce bit-identical buffers AND
 //! identical execution statistics (instance counts, loads, stores,
-//! scratch hits).
+//! scratch hits). The two pyramids execute nothing below ~509 px, so they
+//! run again at 512 px (release builds only).
 //!
 //! The interpreter is the semantic oracle (it is itself checked against
 //! `reference_execute` elsewhere); this test pins the VM to it exactly.
 
-use std::collections::BTreeMap;
-
 use tilefuse::codegen::{execute_compiled, execute_tree, lower_tree, ExecContext, ExecStats};
 use tilefuse::core::{optimize, Options};
-use tilefuse::pir::{ArrayId, ArrayKind, Body, Expr, IdxExpr, Program, SchedTerm};
-use tilefuse::schedtree::ScheduleTree;
-use tilefuse::scheduler::schedule;
-use tilefuse::FusionHeuristic;
+use tilefuse::pir::{ArrayKind, Body, Expr, IdxExpr, Program, SchedTerm};
 
 /// The paper's Fig. 1(a), with Quant(x) = 0.5x and a 3x3 kernel (same
 /// program as the conv2d end-to-end test).
@@ -114,47 +110,26 @@ fn assert_bit_exact(
     assert_eq!(interp.1, vm.1, "{what}: execution statistics differ");
 }
 
-/// Lowers one tree and runs the VM at every thread count, checking
-/// bit-exactness of buffers and stats each time against the sequential
-/// interpreter reference.
-fn check_tree(
-    program: &Program,
-    tree: &ScheduleTree,
-    scopes: &BTreeMap<ArrayId, usize>,
-    interp: &(ExecContext, ExecStats),
-    label: &str,
-    threads: &[usize],
-) {
-    let compiled = lower_tree(program, tree, &[], scopes)
+/// Optimizes `program` at `tile`, runs the optimized tree on the
+/// interpreter, and checks the VM against it at every thread count:
+/// buffers and stats bit-exact each time. Returns the VM's statistics.
+fn check_program(program: &Program, tile: &[i64], threads: &[usize]) -> ExecStats {
+    let opt = optimize(program, &Options::cpu(tile)).expect("optimize");
+    let scopes = &opt.report.scratch_scopes;
+    let label = format!("{} tile={tile:?}", program.name());
+    let interp = execute_tree(program, &opt.tree, &[], scopes)
+        .unwrap_or_else(|e| panic!("{label}: interpreter reference failed: {e}"));
+    let compiled = lower_tree(program, &opt.tree, &[], scopes)
         .unwrap_or_else(|e| panic!("{label}: lowering failed: {e}"));
+    let mut stats = ExecStats::default();
     for &n in threads {
         let what = format!("{label} threads={n}");
         let vm = execute_compiled(program, &compiled, n)
             .unwrap_or_else(|e| panic!("{what}: VM failed: {e}"));
-        assert_bit_exact(program, &what, interp, &vm);
+        assert_bit_exact(program, &what, &interp, &vm);
+        stats = vm.1;
     }
-}
-
-/// Optimizes `program` at `tile` and differential-tests the optimized
-/// tree. Two pyramid workloads (Local Laplacian, Multiscale Interpolation)
-/// hit a pre-existing interpreter limitation on their *optimized* trees
-/// (`Unbounded` during scanning) — since the interpreter is the oracle,
-/// those fall back to the minfuse-scheduled tree, which both backends run.
-fn check_program(program: &Program, tile: &[i64], threads: &[usize]) {
-    let opt = optimize(program, &Options::cpu(tile)).expect("optimize");
-    let scopes = &opt.report.scratch_scopes;
-    let label = format!("{} tile={tile:?}", program.name());
-    match execute_tree(program, &opt.tree, &[], scopes) {
-        Ok(interp) => check_tree(program, &opt.tree, scopes, &interp, &label, threads),
-        Err(_) => {
-            let sched = schedule(program, FusionHeuristic::MinFuse).expect("schedule");
-            let label = format!("{label} (scheduled tree)");
-            let scopes = BTreeMap::new();
-            let interp = execute_tree(program, &sched.tree, &[], &scopes)
-                .unwrap_or_else(|e| panic!("{label}: interpreter reference failed: {e}"));
-            check_tree(program, &sched.tree, &scopes, &interp, &label, threads);
-        }
-    }
+    stats
 }
 
 #[test]
@@ -164,11 +139,37 @@ fn running_example_bit_exact() {
     }
 }
 
+/// At 16 px the two pyramids' live-outs are empty, so this runs their
+/// (empty) optimized trees only; `pyramids_at_512_bit_exact` executes them.
 #[test]
 fn polymage_workloads_bit_exact() {
     for w in tilefuse::workloads::polymage::all(16, 16).expect("workloads") {
         for tile in [&[4i64, 4][..], &[8, 8][..]] {
             check_program(&w.program, tile, &[1, 2, 4]);
         }
+    }
+}
+
+/// The two pyramids at 512 px, the smallest size whose live-out is not
+/// empty: their fused producers, pinned instance levels and shared
+/// scratch scopes execute here and nowhere else in the test suite.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "~8 s of interpreter reference in a release build, many times that in debug; run with --release"
+)]
+fn pyramids_at_512_bit_exact() {
+    use tilefuse::workloads::polymage::{local_laplacian, multiscale_interpolation};
+    for w in [
+        multiscale_interpolation(512, 512).expect("workload"),
+        local_laplacian(512, 512).expect("workload"),
+    ] {
+        let stats = check_program(&w.program, &[32, 32], &[1, 2]);
+        let executed: u64 = stats.instances.values().sum();
+        assert!(
+            executed > 0,
+            "{}: the VM executed nothing",
+            w.program.name()
+        );
     }
 }
