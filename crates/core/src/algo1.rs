@@ -14,6 +14,7 @@ use tilefuse_pir::{ArrayId, Dependence, Program, StmtId};
 use tilefuse_presburger::Map;
 use tilefuse_schedtree::Band;
 use tilefuse_scheduler::{band_part, loop_vars, Group};
+use tilefuse_trace::governor::Exhausted;
 
 /// Deliberate legality bugs for validating external checkers.
 ///
@@ -66,10 +67,10 @@ pub enum FaultInjection {
     WorkerPanic,
     /// Stall for the given number of milliseconds at the top of the
     /// optimize ladder, simulating a hung worker. The stall sleeps in
-    /// short slices and polls the governor between them, so a watchdog's
-    /// [`tilefuse_trace::CancelToken`] (or the budget deadline) interrupts
-    /// it mid-stall — the supervisor-side test for cross-thread
-    /// cancellation.
+    /// short slices and polls the governor between them, so an expired or
+    /// revoked [`tilefuse_trace::CancelToken`] (or the budget deadline)
+    /// interrupts it mid-stall — the supervisor-side test for stopping an
+    /// attempt at its job deadline.
     WorkerStall {
         /// Stall length in milliseconds.
         ms: u64,
@@ -112,12 +113,14 @@ pub struct Options {
     /// [`BudgetTrip`] so the [`crate::DegradationReport`] stays coherent
     /// (rung > 1 always has at least one trip explaining it).
     pub min_rung: u8,
-    /// Cross-thread cancellation token for the run. When set, the governor
-    /// polls it at every checkpoint (even under an unlimited budget and on
-    /// the disarmed floor rung): a watchdog revoking it surfaces as a
-    /// `"cancelled"` budget exhaustion, which the ladder treats as fatal —
-    /// it propagates instead of degrading, because the supervisor asked
-    /// the whole run to stop, not just the current rung.
+    /// Cancellation token for the run. When set, the governor polls it at
+    /// every checkpoint (even under an unlimited budget and on the disarmed
+    /// floor rung): a token past its deadline
+    /// ([`tilefuse_trace::CancelToken::with_deadline`]) or cancelled from
+    /// another thread surfaces as a `"cancelled"` budget exhaustion, which
+    /// the ladder treats as fatal — it propagates instead of degrading,
+    /// because the supervisor asked the whole run to stop, not just the
+    /// current rung.
     pub cancel: Option<tilefuse_trace::CancelToken>,
 }
 
@@ -186,7 +189,10 @@ impl BudgetTrip {
     /// [`degradable`](crate::optimize::degradable) errors are absorbed, and
     /// those always carry their `(limit, phase)`.
     pub(crate) fn from_error(e: &Error, detail: String) -> Self {
-        let (limit, phase) = e.budget_info().unwrap_or_default();
+        let Exhausted { limit, phase } = e.budget().unwrap_or(Exhausted {
+            limit: "",
+            phase: "",
+        });
         BudgetTrip {
             phase,
             limit,

@@ -1,6 +1,7 @@
 //! Error type for the post-tiling fusion optimizer.
 
 use std::fmt;
+use tilefuse_trace::governor::Exhausted;
 
 /// Result alias.
 pub type Result<T> = std::result::Result<T, Error>;
@@ -37,24 +38,19 @@ pub enum Error {
 }
 
 impl Error {
-    /// Whether this error (at any wrapping depth) is a cooperative
-    /// budget-exhaustion signal from the resource governor. The
-    /// degradation ladder in [`crate::optimize`] catches exactly these and
-    /// falls back to a cheaper rung; every other error propagates.
+    /// The governor trip this error carries at any wrapping depth, found
+    /// by following the [`source`](std::error::Error::source) chain down
+    /// to an [`Exhausted`]. The degradation ladder in [`crate::optimize`]
+    /// absorbs exactly these (bar cancellation) and falls back to a
+    /// cheaper rung; every other error propagates.
     #[must_use]
-    pub fn is_budget_exhausted(&self) -> bool {
-        self.budget_info().is_some()
-    }
-
-    /// The `(limit, phase)` pair of a wrapped budget-exhaustion error.
-    #[must_use]
-    pub fn budget_info(&self) -> Option<(&'static str, &'static str)> {
-        match self {
-            Error::Pir(e) => e.budget_info(),
-            Error::Scheduler(e) => e.budget_info(),
-            Error::SchedTree(e) => e.budget_info(),
-            Error::Presburger(e) => e.budget_info(),
-            Error::Internal(_) | Error::InvalidInput(_) | Error::Panicked { .. } => None,
+    pub fn budget(&self) -> Option<Exhausted> {
+        let mut e: &(dyn std::error::Error + 'static) = self;
+        loop {
+            if let Some(trip) = e.downcast_ref::<Exhausted>() {
+                return Some(*trip);
+            }
+            e = e.source()?;
         }
     }
 
@@ -62,10 +58,10 @@ impl Error {
     /// [`crate::FaultInjection`]): lets the fuzz oracle force a specific
     /// ladder rung without a real budget race.
     pub(crate) fn injected_budget(phase: &'static str) -> Error {
-        Error::Presburger(tilefuse_presburger::Error::BudgetExhausted {
+        Error::Presburger(tilefuse_presburger::Error::BudgetExhausted(Exhausted {
             limit: "fault-injection",
             phase,
-        })
+        }))
     }
 }
 
@@ -140,5 +136,45 @@ mod tests {
             .contains("invariant"));
         let e = Error::from(tilefuse_presburger::Error::Overflow("mul"));
         assert!(e.to_string().contains("overflow"));
+    }
+
+    /// `budget` finds the trip through every wrapping that exists. A
+    /// wrapper variant whose `source()` forgot its inner error fails here;
+    /// otherwise the ladder would propagate its trips as bugs.
+    #[test]
+    fn budget_follows_every_wrapping() {
+        use tilefuse_pir::Error as PirError;
+        use tilefuse_presburger::Error as PbError;
+        use tilefuse_schedtree::Error as TreeError;
+        use tilefuse_scheduler::Error as SchedError;
+
+        let trip = Exhausted {
+            limit: "omega-ops",
+            phase: "algo1/extension",
+        };
+        let pb = || PbError::BudgetExhausted(trip);
+        let wrapped = [
+            Error::Presburger(pb()),
+            Error::Pir(PirError::Presburger(pb())),
+            Error::SchedTree(TreeError::Presburger(pb())),
+            Error::Scheduler(SchedError::Pir(PirError::Presburger(pb()))),
+            Error::Scheduler(SchedError::SchedTree(TreeError::Presburger(pb()))),
+            Error::Scheduler(SchedError::Presburger(pb())),
+        ];
+        for e in &wrapped {
+            assert_eq!(e.budget(), Some(trip), "{e:?}");
+        }
+        let not_trips = [
+            Error::Internal("x".into()),
+            Error::InvalidInput("y".into()),
+            Error::Panicked {
+                phase: "optimize/ladder",
+                message: "boom".into(),
+            },
+            Error::Presburger(PbError::Overflow("mul")),
+        ];
+        for e in &not_trips {
+            assert_eq!(e.budget(), None, "{e:?}");
+        }
     }
 }

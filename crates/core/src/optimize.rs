@@ -166,8 +166,8 @@ pub fn optimize(program: &Program, opts: &Options) -> Result<Optimized> {
 /// falling to a cheaper rung would keep burning a grant that no longer
 /// exists. It propagates as a budget-exhausted error for the caller.
 pub(crate) fn degradable(e: &Error) -> bool {
-    e.budget_info()
-        .is_some_and(|(limit, _)| limit != tilefuse_trace::governor::CANCELLED)
+    e.budget()
+        .is_some_and(|trip| trip.limit != tilefuse_trace::governor::CANCELLED)
 }
 
 /// The degradation ladder. Runs with a governor installed; each rung that
@@ -188,14 +188,16 @@ fn run_ladder(program: &Program, opts: &Options) -> Result<Optimized> {
     // Worker-fault injection for the tilefused chaos soak: both fire at
     // the very top of the ladder, inside `optimize`'s catch_unwind and
     // governed region, so a panic surfaces as `Error::Panicked` and a
-    // stall is interruptible by watchdog cancellation.
+    // stall ends at the first poll past the attempt's `CancelToken`
+    // deadline (or a revoke, or a blown budget deadline).
     match opts.fault {
         FaultInjection::WorkerPanic => panic!("injected worker panic"),
         FaultInjection::WorkerStall { ms } => {
             let deadline = std::time::Instant::now() + std::time::Duration::from_millis(ms);
             while std::time::Instant::now() < deadline {
-                // Poll between short sleep slices so a revoked CancelToken
-                // (or a blown budget deadline) cuts the stall short.
+                // Poll between short sleep slices so a revoked or expired
+                // CancelToken (or a blown budget deadline) cuts the stall
+                // short.
                 checkpoint("fault/stall")?;
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }

@@ -102,7 +102,7 @@ pub struct SoakReport {
     pub daemon_retries: u64,
     /// Daemon-side shed counter.
     pub daemon_shed: u64,
-    /// Daemon-side watchdog-cancellation counter.
+    /// Daemon-side counter of attempts stopped at their job deadline.
     pub daemon_cancelled: u64,
     /// Daemon-side worker-recycle counter.
     pub daemon_worker_recycles: u64,
@@ -588,6 +588,12 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     report.quarantine_reproduced = reproduced;
     if cfg.faults && report.panics_injected > 0 && artifacts == 0 {
         return Err("self-test failed: panics were injected but nothing was quarantined".into());
+    }
+    if report.stalls_injected > 0 && report.daemon_cancelled == 0 {
+        return Err(
+            "self-test failed: stalls were injected but no attempt was revoked at its deadline"
+                .into(),
+        );
     }
     report.elapsed_s = started.elapsed().as_secs_f64();
     Ok(report)

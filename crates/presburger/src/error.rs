@@ -1,6 +1,7 @@
 //! Error type for the presburger crate.
 
 use std::fmt;
+use tilefuse_trace::governor::Exhausted;
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, Error>;
@@ -51,38 +52,14 @@ pub enum Error {
     /// A cooperative resource budget was exhausted (see
     /// [`tilefuse_trace::governor`]). Non-fatal by design: the optimizer's
     /// degradation ladder catches it and falls back to a cheaper rung.
-    BudgetExhausted {
-        /// Which limit tripped (`"deadline"`, `"omega-ops"`, ...).
-        limit: &'static str,
-        /// The innermost governed phase active when it tripped.
-        phase: &'static str,
-    },
+    /// [`source`](std::error::Error::source) returns the [`Exhausted`], so
+    /// a wrapper finds it by following the source chain.
+    BudgetExhausted(Exhausted),
 }
 
-impl Error {
-    /// Whether this error is a cooperative budget-exhaustion signal rather
-    /// than a genuine failure.
-    #[must_use]
-    pub fn is_budget_exhausted(&self) -> bool {
-        matches!(self, Error::BudgetExhausted { .. })
-    }
-
-    /// The `(limit, phase)` pair of a budget-exhaustion error.
-    #[must_use]
-    pub fn budget_info(&self) -> Option<(&'static str, &'static str)> {
-        match self {
-            Error::BudgetExhausted { limit, phase } => Some((limit, phase)),
-            _ => None,
-        }
-    }
-}
-
-impl From<tilefuse_trace::governor::Exhausted> for Error {
-    fn from(e: tilefuse_trace::governor::Exhausted) -> Self {
-        Error::BudgetExhausted {
-            limit: e.limit,
-            phase: e.phase,
-        }
+impl From<Exhausted> for Error {
+    fn from(e: Exhausted) -> Self {
+        Error::BudgetExhausted(e)
     }
 }
 
@@ -108,14 +85,19 @@ impl fmt::Display for Error {
             Error::Unbounded { dim } => {
                 write!(f, "set is unbounded in dimension {dim}")
             }
-            Error::BudgetExhausted { limit, phase } => {
-                write!(f, "budget exhausted ({limit} limit) in phase {phase}")
-            }
+            Error::BudgetExhausted(e) => write!(f, "{e}"),
         }
     }
 }
 
-impl std::error::Error for Error {}
+impl std::error::Error for Error {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Error::BudgetExhausted(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -171,17 +153,18 @@ mod tests {
 
     #[test]
     fn budget_exhausted_roundtrip() {
-        let e = Error::from(tilefuse_trace::governor::Exhausted {
+        let trip = Exhausted {
             limit: "deadline",
             phase: "algo1/extension",
-        });
-        assert!(e.is_budget_exhausted());
-        assert_eq!(e.budget_info(), Some(("deadline", "algo1/extension")));
+        };
+        let e = Error::from(trip);
+        assert_eq!(e, Error::BudgetExhausted(trip));
+        let source = std::error::Error::source(&e).expect("the trip is the source");
+        assert_eq!(source.downcast_ref::<Exhausted>(), Some(&trip));
         assert_eq!(
             e.to_string(),
             "budget exhausted (deadline limit) in phase algo1/extension"
         );
-        assert!(!Error::Overflow("mul").is_budget_exhausted());
-        assert_eq!(Error::Overflow("mul").budget_info(), None);
+        assert!(std::error::Error::source(&Error::Overflow("mul")).is_none());
     }
 }

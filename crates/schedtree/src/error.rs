@@ -23,24 +23,6 @@ pub enum Error {
     Presburger(tilefuse_presburger::Error),
 }
 
-impl Error {
-    /// Whether this error wraps a cooperative budget-exhaustion signal
-    /// from the resource governor.
-    #[must_use]
-    pub fn is_budget_exhausted(&self) -> bool {
-        self.budget_info().is_some()
-    }
-
-    /// The `(limit, phase)` pair of a wrapped budget-exhaustion error.
-    #[must_use]
-    pub fn budget_info(&self) -> Option<(&'static str, &'static str)> {
-        match self {
-            Error::Presburger(e) => e.budget_info(),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

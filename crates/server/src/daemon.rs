@@ -8,8 +8,9 @@
 //! occupants, and a request that would already miss its deadline waiting
 //! is shed *now* instead of wasting a worker on a dead job. The deadline
 //! keeps propagating after admission: a job that expires while queued is
-//! shed at dequeue, and one that expires mid-attempt is revoked by the
-//! supervisor's watchdog. Every path produces exactly one typed response.
+//! shed at dequeue, and one that expires mid-attempt stops at the next
+//! governor checkpoint, because each attempt's `CancelToken` carries the
+//! deadline. Every path produces exactly one typed response.
 //!
 //! Workers are supervised, not trusted: a worker whose job ends in panic
 //! quarantine recycles itself (spawns a fresh replacement thread and
@@ -288,7 +289,9 @@ fn accept_loop(state: &Arc<State>, listener: &UnixListener) -> std::io::Result<(
         }
     }
     // Graceful drain: stop admitting, let the workers empty the queue,
-    // then give connection threads a moment to flush their replies.
+    // then give connection threads a moment to flush their replies. A job
+    // still running when the drain gives up is not revoked here: its own
+    // deadline stops it.
     state.queue.close();
     let drain_deadline = Instant::now() + Duration::from_secs(30);
     while (state.queue.len() > 0 || state.busy.load(Ordering::Relaxed) > 0)
@@ -300,7 +303,6 @@ fn accept_loop(state: &Arc<State>, listener: &UnixListener) -> std::io::Result<(
     while state.conns.load(Ordering::Relaxed) > 0 && Instant::now() < conn_deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    state.supervisor.watchdog.stop();
     Ok(())
 }
 
@@ -376,7 +378,8 @@ fn handle_connection(state: &Arc<State>, mut stream: UnixStream) -> Result<(), S
             }
             Ok(Request::Ping { id }) => simple_ok(id, None),
             Ok(Request::Stats { id }) => {
-                simple_ok(id, Some(("stats", state.supervisor.stats_value())))
+                let inflight = state.busy.load(Ordering::Relaxed);
+                simple_ok(id, Some(("stats", state.supervisor.stats_value(inflight))))
             }
             Ok(Request::Shutdown { id }) => {
                 state.shutdown.store(true, Ordering::Release);
@@ -507,6 +510,5 @@ mod tests {
             state.observe_service(10.0);
         }
         assert!((state.ewma() - 10.0).abs() < 0.5);
-        state.supervisor.watchdog.stop();
     }
 }

@@ -17,12 +17,11 @@
 //! * [`daemon`] — the accept loop, the bounded admission queue with
 //!   EWMA-predictive load shedding, and deadline propagation from
 //!   admission through dequeue to mid-attempt revocation.
-//! * [`supervisor`] — the watchdog thread that revokes over-deadline
-//!   grants via [`tilefuse_trace::CancelToken`] (observed by the worker
-//!   at its next governor checkpoint, mid-phase), the
-//!   retry-with-degradation policy (tighter budget, forced lower ladder
-//!   rung, exponential [`backoff`]), and panic quarantine with worker
-//!   recycling.
+//! * [`supervisor`] — the per-attempt [`tilefuse_trace::CancelToken`]
+//!   that carries the job deadline (the worker observes it at its next
+//!   governor checkpoint, mid-phase), the retry-with-degradation policy
+//!   (tighter budget, forced lower ladder rung, exponential [`backoff`]),
+//!   and panic quarantine with worker recycling.
 //! * [`quarantine`] — crash artifacts on disk (shrinkable fuzz repro
 //!   format) plus the structural-hash fast-reject set.
 //! * [`cache`] — the plan cache keyed by [`hash::plan_key`]; schedules
@@ -54,4 +53,4 @@ pub use protocol::{
     SupervisionReport, MAX_FRAME,
 };
 pub use quarantine::Quarantine;
-pub use supervisor::{JobVerdict, Supervisor, Watchdog};
+pub use supervisor::{JobVerdict, Supervisor};

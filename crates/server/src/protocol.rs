@@ -192,8 +192,9 @@ pub enum AttemptOutcome {
         /// Degradation-ladder rung of the produced plan.
         rung: u8,
     },
-    /// The attempt was revoked by the watchdog (or blew its budget in a
-    /// non-degradable way) — `limit` is the governor limit name.
+    /// The attempt was stopped at its job deadline (limit `"cancelled"`)
+    /// or blew its budget in a non-degradable way — `limit` is the
+    /// governor limit name.
     Exhausted {
         /// Governor limit (`"cancelled"`, `"deadline"`, ...).
         limit: String,

@@ -1,11 +1,12 @@
-//! Job supervision: the watchdog, the retry-with-degradation policy, and
-//! panic quarantine.
+//! Job supervision: the per-attempt deadline, the retry-with-degradation
+//! policy, and panic quarantine.
 //!
-//! Every optimize attempt runs with a [`CancelToken`] registered against
-//! the watchdog thread, which revokes it the moment the job's end-to-end
-//! deadline passes — cross-thread revocation that the optimizer observes
-//! at its next governor checkpoint, mid-phase, as a `"cancelled"` budget
-//! exhaustion. The supervisor then retries with exponential backoff and a
+//! Every optimize attempt runs with a [`CancelToken`] that carries the
+//! job's end-to-end deadline ([`CancelToken::with_deadline`]). The
+//! optimizer reads the clock at its own governor checkpoints, so once the
+//! deadline passes it stops at the next one, mid-phase, with a
+//! `"cancelled"` budget exhaustion; no other thread watches the clock.
+//! The supervisor then retries with exponential backoff and a
 //! *tighter* grant: both budget limits are halved and `min_rung` forces
 //! entry below the rung that already failed (3 = plain live-out tiling,
 //! then 4 = the untiled floor), so a retry never re-pays for work the
@@ -24,121 +25,16 @@ use crate::protocol::{
     AttemptRecord, CacheOutcome, OptimizeRequest, SupervisionReport,
 };
 use crate::quarantine::Quarantine;
-use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tilefuse_core::{optimize, Error, FaultInjection, Optimized, Options};
 use tilefuse_fuzzgen::{build_program, output_digest, spec_to_json, ProgramSpec, Rng};
 use tilefuse_pir::Program;
 use tilefuse_trace::json::Value;
 use tilefuse_trace::{Budget, CancelToken};
-
-/// The watchdog: a registry of in-flight grants plus a thread that
-/// revokes any whose deadline has passed. Revocation is a cross-thread
-/// `CancelToken::cancel()` — the worker sees it at its next governor
-/// checkpoint regardless of which phase (or injected stall) it is in.
-#[derive(Clone, Debug)]
-pub struct Watchdog {
-    inner: Arc<WatchdogInner>,
-}
-
-#[derive(Debug)]
-struct WatchdogInner {
-    active: Mutex<HashMap<u64, (CancelToken, Instant)>>,
-    next: AtomicU64,
-    stop: AtomicBool,
-}
-
-impl Watchdog {
-    /// Starts the watchdog thread (detached; it exits within one poll
-    /// interval of [`Watchdog::stop`]).
-    #[must_use]
-    pub fn spawn() -> Watchdog {
-        let w = Watchdog {
-            inner: Arc::new(WatchdogInner {
-                active: Mutex::new(HashMap::new()),
-                next: AtomicU64::new(0),
-                stop: AtomicBool::new(false),
-            }),
-        };
-        let poller = w.clone();
-        std::thread::Builder::new()
-            .name("tilefused-watchdog".into())
-            .spawn(move || poller.run())
-            .expect("spawn watchdog");
-        w
-    }
-
-    fn run(&self) {
-        while !self.inner.stop.load(Ordering::Acquire) {
-            {
-                let active = self
-                    .inner
-                    .active
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let now = Instant::now();
-                for (token, deadline) in active.values() {
-                    if now >= *deadline {
-                        token.cancel();
-                    }
-                }
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Registers a grant; the token is revoked once `deadline` passes.
-    pub fn register(&self, token: CancelToken, deadline: Instant) -> u64 {
-        let id = self.inner.next.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .active
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(id, (token, deadline));
-        id
-    }
-
-    /// Removes a grant (the attempt finished on its own).
-    pub fn deregister(&self, id: u64) {
-        self.inner
-            .active
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&id);
-    }
-
-    /// Revokes every in-flight grant (shutdown).
-    pub fn cancel_all(&self) {
-        let active = self
-            .inner
-            .active
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for (token, _) in active.values() {
-            token.cancel();
-        }
-    }
-
-    /// Number of in-flight grants.
-    #[must_use]
-    pub fn active(&self) -> usize {
-        self.inner
-            .active
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-
-    /// Stops the watchdog thread and revokes everything still in flight.
-    pub fn stop(&self) {
-        self.cancel_all();
-        self.inner.stop.store(true, Ordering::Release);
-    }
-}
 
 /// Daemon-wide counters, all relaxed atomics (monotonic, approximate
 /// cross-counter consistency is fine for a stats endpoint).
@@ -158,7 +54,7 @@ pub struct Counters {
     pub quarantined: AtomicU64,
     /// Requests fast-rejected against an existing quarantine entry.
     pub quarantine_rejects: AtomicU64,
-    /// Attempts revoked by the watchdog (cancelled grants).
+    /// Attempts stopped at their job deadline (`"cancelled"` trips).
     pub cancelled: AtomicU64,
     /// Workers recycled after a quarantine event.
     pub worker_recycles: AtomicU64,
@@ -183,8 +79,8 @@ impl JobVerdict {
     }
 }
 
-/// Shared supervision state: plan cache, quarantine, counters, watchdog,
-/// and the retry policy's knobs.
+/// Shared supervision state: plan cache, quarantine, counters, and the
+/// retry policy's knobs.
 #[derive(Debug)]
 pub struct Supervisor {
     /// Structural-hash plan cache.
@@ -193,8 +89,6 @@ pub struct Supervisor {
     pub quarantine: Quarantine,
     /// Daemon-wide counters.
     pub counters: Counters,
-    /// The watchdog revoking over-deadline grants.
-    pub watchdog: Watchdog,
     /// Attempt ceiling per job (first try + retries).
     pub max_attempts: u32,
     /// Backoff schedule between attempts.
@@ -202,8 +96,7 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// Builds a supervisor (spawning its watchdog) over the given
-    /// quarantine directory.
+    /// Builds a supervisor over the given quarantine directory.
     ///
     /// # Errors
     /// Returns the I/O error when the quarantine directory is unusable.
@@ -217,15 +110,15 @@ impl Supervisor {
             cache: PlanCache::new(cache_capacity),
             quarantine: Quarantine::open(quarantine_dir)?,
             counters: Counters::default(),
-            watchdog: Watchdog::spawn(),
             max_attempts: max_attempts.max(1),
             backoff,
         })
     }
 
-    /// The `stats` endpoint payload.
+    /// The `stats` endpoint payload. `inflight` is the number of jobs
+    /// currently on a worker, which only the daemon knows.
     #[must_use]
-    pub fn stats_value(&self) -> Value {
+    pub fn stats_value(&self, inflight: usize) -> Value {
         let (hits, misses, entries) = self.cache.stats();
         let c = &self.counters;
         let mut o = std::collections::BTreeMap::new();
@@ -248,7 +141,7 @@ impl Supervisor {
         put("cache_misses", misses);
         put("cache_entries", entries as u64);
         put("quarantine_len", self.quarantine.len() as u64);
-        put("inflight", self.watchdog.active() as u64);
+        put("inflight", inflight as u64);
         Value::Obj(o)
     }
 
@@ -368,18 +261,15 @@ impl Supervisor {
                 ));
             }
 
-            let token = CancelToken::new();
-            let grant = self.watchdog.register(token.clone(), deadline);
             let opts = Options {
                 budget: budget.clone(),
                 fault,
                 min_rung,
-                cancel: Some(token),
+                cancel: Some(CancelToken::with_deadline(deadline)),
                 ..base_opts.clone()
             };
             let t0 = Instant::now();
             let result = optimize(program, &opts);
-            self.watchdog.deregister(grant);
             let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
 
             match result {
@@ -581,10 +471,10 @@ pub fn tighten(b: &Budget) -> Budget {
 }
 
 fn classify(e: &Error) -> AttemptOutcome {
-    if let Some((limit, phase)) = e.budget_info() {
+    if let Some(trip) = e.budget() {
         return AttemptOutcome::Exhausted {
-            limit: limit.to_string(),
-            phase: phase.to_string(),
+            limit: trip.limit.to_string(),
+            phase: trip.phase.to_string(),
         };
     }
     if let Error::Panicked { phase, message } = e {
@@ -706,11 +596,11 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_revokes_a_stalled_job_and_the_retry_lands_on_a_lower_rung() {
+    fn deadline_revokes_a_stalled_job_and_the_retry_lands_on_a_lower_rung() {
         let (sup, dir) = temp_supervisor("stall");
         let mut rng = Rng::new(7);
-        // Deadline far shorter than the injected stall: the watchdog must
-        // revoke the first attempt mid-stall; the retry (stall cleared,
+        // Deadline far shorter than the injected stall: the attempt's
+        // token must revoke it mid-stall; the retry (stall cleared,
         // forced rung) then completes within the remaining time.
         let deadline = Instant::now() + Duration::from_millis(300);
         let r = req(spec(8), FaultInjection::WorkerStall { ms: 10_000 });
@@ -722,7 +612,7 @@ mod tests {
                 &s.attempts[0].outcome,
                 AttemptOutcome::Exhausted { limit, .. } if limit == "cancelled"
             ),
-            "first attempt must be revoked by the watchdog: {:?}",
+            "first attempt must be revoked at the deadline: {:?}",
             s.attempts
         );
         assert!(s.attempts[0].elapsed_ms < 5_000.0, "revoked mid-stall");
@@ -731,7 +621,6 @@ mod tests {
             assert!(s.retries >= 1);
         }
         assert!(sup.counters.cancelled.load(Ordering::Relaxed) >= 1);
-        sup.watchdog.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -252,12 +252,12 @@ fn panic_is_quarantined_and_fast_rejected_across_connections() {
 }
 
 #[test]
-fn watchdog_cancels_a_stalled_job_mid_attempt() {
+fn deadline_cancels_a_stalled_job_mid_attempt() {
     let d = TestDaemon::start("stall", 1, 16);
     let mut s = d.connect();
-    // The injected stall (10 s) dwarfs the 400 ms deadline: the watchdog
-    // must revoke the grant mid-stall and the supervisor must still give
-    // a typed answer well before the stall would have ended.
+    // The injected stall (10 s) dwarfs the 400 ms deadline: the attempt's
+    // token must revoke the grant mid-stall and the supervisor must still
+    // give a typed answer well before the stall would have ended.
     let t0 = Instant::now();
     let r = d.request(
         &mut s,
@@ -288,6 +288,39 @@ fn watchdog_cancels_a_stalled_job_mid_attempt() {
         attempts[0].get("limit").unwrap().as_str(),
         Some("cancelled")
     );
+    d.shutdown();
+}
+
+#[test]
+fn stats_inflight_counts_the_job_on_a_worker() {
+    let d = TestDaemon::start("inflight", 1, 16);
+    let socket = d.socket.clone();
+    let inflight = |s: &mut UnixStream| {
+        let r = d.request(s, r#"{"op":"stats","id":60}"#);
+        r.get("stats").unwrap().get("inflight").unwrap().as_num()
+    };
+
+    // Hold the only worker with a stall well inside its deadline.
+    let holder = std::thread::spawn(move || {
+        let mut s = UnixStream::connect(&socket).unwrap();
+        let req = format!(
+            r#"{{"op":"optimize","id":61,"deadline_ms":10000,
+                 "fault":{{"kind":"stall","ms":3000}},"spec":{}}}"#,
+            spec_json(8)
+        );
+        write_frame(&mut s, &json::parse(&req).unwrap()).unwrap();
+        read_frame(&mut s).unwrap().unwrap()
+    });
+
+    let mut s = d.connect();
+    let seen = Instant::now() + Duration::from_millis(2500);
+    while inflight(&mut s) != Some(1.0) {
+        assert!(Instant::now() < seen, "the held job never reached a worker");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let r = holder.join().unwrap();
+    assert_eq!(r.get("status").unwrap().as_str(), Some("ok"), "{r:?}");
+    assert_eq!(inflight(&mut s), Some(0.0));
     d.shutdown();
 }
 

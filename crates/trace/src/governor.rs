@@ -77,6 +77,8 @@ impl fmt::Display for Exhausted {
     }
 }
 
+impl std::error::Error for Exhausted {}
+
 /// The `limit` name carried by [`Exhausted`] when a [`CancelToken`] was
 /// revoked. Cancellation is *sticky*: unlike a blown deadline, [`rearm`]
 /// cannot clear it, so a ladder that absorbs the first trip fails again at
@@ -87,10 +89,13 @@ pub const CANCELLED: &str = "cancelled";
 /// A cross-thread cancellation handle for one governed region.
 ///
 /// The token is shared between the worker thread that installs it (via
-/// [`install_with_cancel`]) and any number of supervisor/watchdog threads
-/// that may revoke it. Revocation is cooperative: the worker observes it at
-/// the next [`checkpoint`] or deadline-stride [`tick_omega`] poll and
-/// surfaces [`Exhausted`] with the [`CANCELLED`] limit.
+/// [`install_with_cancel`]) and any thread that may revoke it. It is
+/// revoked by an explicit [`cancel`](Self::cancel) or, for a token built
+/// [`with_deadline`](Self::with_deadline), once that instant passes; no
+/// other thread has to watch the clock. Revocation is cooperative: the
+/// worker observes it at the next [`checkpoint`] or deadline-stride
+/// [`tick_omega`] poll and surfaces [`Exhausted`] with the [`CANCELLED`]
+/// limit.
 ///
 /// Memory ordering: [`cancel`](Self::cancel) stores the flag with
 /// `Release` and the polls load it with `Acquire`. The flag is monotonic
@@ -126,14 +131,15 @@ impl CancelToken {
         }
     }
 
-    /// A token that auto-revokes `grant` from now, and can also be
-    /// cancelled explicitly before that.
+    /// A token that auto-revokes at `deadline`, and can also be cancelled
+    /// explicitly before that. The governed thread reads the clock at its
+    /// own polls, so the deadline needs no watching thread.
     #[must_use]
-    pub fn with_deadline(grant: Duration) -> Self {
+    pub fn with_deadline(deadline: Instant) -> Self {
         CancelToken {
             inner: Arc::new(CancelInner {
                 cancelled: AtomicBool::new(false),
-                deadline: Some(Instant::now() + grant),
+                deadline: Some(deadline),
             }),
         }
     }
@@ -421,13 +427,6 @@ fn check_cancel() -> Result<(), Exhausted> {
     Ok(())
 }
 
-/// Whether some installed [`CancelToken`] on this thread is revoked.
-/// Cheap enough for occasional out-of-band polls (fault-injection stalls).
-#[must_use]
-pub fn cancel_revoked() -> bool {
-    CANCELS.with(|c| c.borrow().iter().any(CancelToken::is_revoked))
-}
-
 fn check_deadline() -> Result<(), Exhausted> {
     if let Some(deadline) = DEADLINE.with(Cell::get) {
         if Instant::now() >= deadline {
@@ -658,15 +657,40 @@ mod tests {
 
     #[test]
     fn cancel_deadline_auto_revokes_and_stride_polls_it() {
-        let token = CancelToken::with_deadline(Duration::ZERO);
+        let token = CancelToken::with_deadline(Instant::now());
         assert!(token.is_revoked());
         assert!(!token.is_cancelled(), "deadline revocation is implicit");
-        let _g = install_with_cancel(&Budget::unlimited(), Some(token));
-        // Below the stride no poll happens; crossing it observes the
-        // revoked token even with no budget limits set.
-        assert!(tick_omega(1).is_ok());
-        let err = tick_omega(DEADLINE_STRIDE).unwrap_err();
+        {
+            let _g = install_with_cancel(&Budget::unlimited(), Some(token));
+            // Below the stride no poll happens; crossing it observes the
+            // revoked token even with no budget limits set.
+            assert!(tick_omega(1).is_ok());
+            let err = tick_omega(DEADLINE_STRIDE).unwrap_err();
+            assert_eq!(err.limit, CANCELLED);
+        }
+
+        // A deadline ahead: nothing trips before it, `checkpoint` trips
+        // after it with no other thread involved, and the trip is sticky.
+        let deadline = Instant::now() + Duration::from_millis(50);
+        let token = CancelToken::with_deadline(deadline);
+        let _g = install_with_cancel(&Budget::unlimited(), Some(token.clone()));
+        while Instant::now() < deadline {
+            // A trip is only an error if the clock, read after it, is
+            // still short of the deadline.
+            let polled = checkpoint("service/attempt");
+            assert!(
+                polled.is_ok() || Instant::now() >= deadline,
+                "tripped before the deadline"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let err = checkpoint("service/attempt").unwrap_err();
         assert_eq!(err.limit, CANCELLED);
+        assert!(!token.is_cancelled(), "deadline revocation is implicit");
+        rearm();
+        assert_eq!(checkpoint("service/retry").unwrap_err().limit, CANCELLED);
+        disarm();
+        assert_eq!(checkpoint("service/floor").unwrap_err().limit, CANCELLED);
     }
 
     #[test]

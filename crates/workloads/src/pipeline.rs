@@ -403,11 +403,6 @@ impl PipelineBuilder {
         )?;
         Ok(self.program)
     }
-
-    /// Access to the program under construction (for custom stages).
-    pub fn program_mut(&mut self) -> &mut Program {
-        &mut self.program
-    }
 }
 
 #[cfg(test)]

@@ -163,7 +163,7 @@ fn core_panicked_display_is_stable() {
         err.to_string(),
         "panic in optimize (phase optimize/ladder): injected worker panic"
     );
-    assert!(err.budget_info().is_none(), "a panic is not a budget trip");
+    assert!(err.budget().is_none(), "a panic is not a budget trip");
 }
 
 /// A `DegradationReport` survives the wire: serialize, render to canonical
