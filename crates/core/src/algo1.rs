@@ -65,12 +65,13 @@ pub enum FaultInjection {
     /// request panics every time, which is what makes the quarantine's
     /// fast-reject sound.
     WorkerPanic,
-    /// Stall for the given number of milliseconds at the top of the
-    /// optimize ladder, simulating a hung worker. The stall sleeps in
-    /// short slices and polls the governor between them, so an expired or
-    /// revoked [`tilefuse_trace::CancelToken`] (or the budget deadline)
-    /// interrupts it mid-stall — the supervisor-side test for stopping an
-    /// attempt at its job deadline.
+    /// Stall for the given number of milliseconds at the top of rung 1,
+    /// simulating a hung worker. The stall sleeps in short slices and
+    /// polls the governor between them: a blown budget deadline cuts it
+    /// short and the ladder falls to rung 3 like after any other trip,
+    /// while an expired or revoked [`tilefuse_trace::CancelToken`] stops
+    /// the whole run — the supervisor-side test for stopping an attempt
+    /// at its job deadline.
     WorkerStall {
         /// Stall length in milliseconds.
         ms: u64,
@@ -104,15 +105,13 @@ pub struct Options {
     /// Default: unlimited. On exhaustion `optimize` degrades along its
     /// ladder instead of failing — see [`crate::Report::degradation`].
     pub budget: tilefuse_trace::Budget,
-    /// Lowest ladder rung this run is allowed to *start* at (1 = full
-    /// pipeline, the default). A supervisor retrying a failed attempt sets
-    /// this to force entry below the rung that already failed: 3 skips
-    /// straight to plain live-out tiling, 4 to the untiled floor. 2 is
-    /// advisory — producer-drop absorption is data-driven, so it runs the
-    /// full pipeline like 1. Forced entries synthesize a `"forced"`
-    /// [`BudgetTrip`] so the [`crate::DegradationReport`] stays coherent
-    /// (rung > 1 always has at least one trip explaining it).
-    pub min_rung: u8,
+    /// Enter the ladder at its untiled floor (rung 4) instead of rung 1.
+    /// The supervisor sets it for its one retry after a panic, so the
+    /// retry skips the tiling and fusion code that panicked. The entry
+    /// synthesizes a `"forced"` [`BudgetTrip`] so the
+    /// [`crate::DegradationReport`] stays coherent (rung > 1 always has at
+    /// least one trip explaining it).
+    pub floor_only: bool,
     /// Cancellation token for the run. When set, the governor polls it at
     /// every checkpoint (even under an unlimited budget and on the disarmed
     /// floor rung): a token past its deadline
@@ -133,7 +132,7 @@ impl Default for Options {
             max_recompute: 3.0,
             fault: FaultInjection::None,
             budget: tilefuse_trace::Budget::default(),
-            min_rung: 1,
+            floor_only: false,
             cancel: None,
         }
     }

@@ -6,6 +6,7 @@ use crate::algo1::{algorithm1, BudgetTrip, FaultInjection, MixedSchedules, Optio
 use crate::algo2::{algorithm2, plain_tile_group};
 use crate::error::{checkpoint, Error, Result};
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::{Duration, Instant};
 use tilefuse_pir::{ArrayId, DepKind, Dependence, Program};
 use tilefuse_schedtree::ScheduleTree;
 use tilefuse_scheduler::{schedule, Group};
@@ -185,39 +186,27 @@ fn run_ladder(program: &Program, opts: &Options) -> Result<Optimized> {
     // `checkpoint`: an already-expired deadline must degrade down the
     // ladder, not error out before rung 1 even starts.
     governor::note_phase("optimize/ladder");
-    // Worker-fault injection for the tilefused chaos soak: both fire at
-    // the very top of the ladder, inside `optimize`'s catch_unwind and
-    // governed region, so a panic surfaces as `Error::Panicked` and a
-    // stall ends at the first poll past the attempt's `CancelToken`
-    // deadline (or a revoke, or a blown budget deadline).
-    match opts.fault {
-        FaultInjection::WorkerPanic => panic!("injected worker panic"),
-        FaultInjection::WorkerStall { ms } => {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_millis(ms);
-            while std::time::Instant::now() < deadline {
-                // Poll between short sleep slices so a revoked or expired
-                // CancelToken (or a blown budget deadline) cuts the stall
-                // short.
-                checkpoint("fault/stall")?;
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-        }
-        _ => {}
+    // Worker-panic injection for the tilefused chaos soak: it fires at the
+    // very top of the ladder, inside `optimize`'s catch_unwind, so it
+    // surfaces as `Error::Panicked` on every rung, the floor included.
+    if opts.fault == FaultInjection::WorkerPanic {
+        panic!("injected worker panic");
     }
     let mut trips: Vec<BudgetTrip> = Vec::new();
-    let forced = |rung: u8, skipped: &str| BudgetTrip {
-        phase: "optimize/ladder",
-        limit: "forced",
-        detail: format!("supervisor forced entry at rung {rung}: skipped {skipped}"),
-    };
-    let mut optimized = if opts.min_rung >= 3 {
-        // A supervisor retry after a failed attempt enters below the rung
-        // that failed; the synthesized trip keeps the report coherent
-        // (rung > 1 always carries at least one explaining trip).
-        trips.push(forced(opts.min_rung.min(4), "tiling-then-fusion"));
-        None
+    let mut optimized = None;
+    if opts.floor_only {
+        // The supervisor's retry after a panic enters at the floor; the
+        // synthesized trip keeps the report coherent (rung > 1 always
+        // carries at least one explaining trip).
+        trips.push(BudgetTrip {
+            phase: "optimize/ladder",
+            limit: "forced",
+            detail: "supervisor forced entry at rung 4: skipped tiling-then-fusion \
+                     and plain live-out tiling"
+                .into(),
+        });
     } else {
-        match optimize_inner(program, opts) {
+        optimized = match optimize_inner(program, opts) {
             Ok(o) => Some(o),
             Err(e) if degradable(&e) => {
                 trips.push(BudgetTrip::from_error(
@@ -227,23 +216,21 @@ fn run_ladder(program: &Program, opts: &Options) -> Result<Optimized> {
                 None
             }
             Err(e) => return Err(e),
-        }
-    };
-    if optimized.is_none() && opts.min_rung >= 4 {
-        trips.push(forced(4, "plain live-out tiling"));
-    } else if optimized.is_none() {
-        governor::rearm();
-        optimized = match plain_tiled(program, opts) {
-            Ok(o) => Some(o),
-            Err(e) if degradable(&e) => {
-                trips.push(BudgetTrip::from_error(
-                    &e,
-                    "dropped tiling entirely: falling back to the untiled schedule".into(),
-                ));
-                None
-            }
-            Err(e) => return Err(e),
         };
+        if optimized.is_none() {
+            governor::rearm();
+            optimized = match plain_tiled(program, opts) {
+                Ok(o) => Some(o),
+                Err(e) if degradable(&e) => {
+                    trips.push(BudgetTrip::from_error(
+                        &e,
+                        "dropped tiling entirely: falling back to the untiled schedule".into(),
+                    ));
+                    None
+                }
+                Err(e) => return Err(e),
+            };
+        }
     }
     let rung_from_trips = |t: &[BudgetTrip]| if t.is_empty() { 1 } else { 2 };
     let (mut optimized, rung) = match optimized {
@@ -276,6 +263,17 @@ fn run_ladder(program: &Program, opts: &Options) -> Result<Optimized> {
 }
 
 fn optimize_inner(program: &Program, opts: &Options) -> Result<Optimized> {
+    // Worker-stall injection for the tilefused chaos soak, at the top of
+    // rung 1. It sleeps in short slices and polls the governor between
+    // them: a blown budget deadline falls a rung like any other trip, and
+    // a passed job deadline (`"cancelled"`) leaves `optimize`.
+    if let FaultInjection::WorkerStall { ms } = opts.fault {
+        let until = Instant::now() + Duration::from_millis(ms);
+        while Instant::now() < until {
+            checkpoint("fault/stall")?;
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
     let scheduled = schedule(program, opts.startup)?;
     // Satellite of the governor work: surface the maxfuse shift-solver
     // budget instead of silently dropping it with the Fusion struct.

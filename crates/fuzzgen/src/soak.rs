@@ -10,11 +10,15 @@
 //!   `shutdown` and exit 0);
 //! * every request receives exactly one typed response (`ok` / `error` /
 //!   `overloaded` / `quarantined`) with the request id echoed;
+//! * every supervised response accounts for the attempts it ran: one
+//!   plus its retries (none on a plan-cache hit);
 //! * every `ok` digest is bit-exact against a locally computed reference
 //!   execution of the same spec — whatever ladder rung or retry produced
 //!   the plan;
 //! * every quarantine artifact written during the soak reproduces its
-//!   panic deterministically offline, in the recorded phase.
+//!   panic deterministically offline, in the recorded phase;
+//! * the daemon retries no more jobs than were injected with a panic:
+//!   its only retry is the floor retry after a panicked attempt.
 //!
 //! This module is the *client* half: it speaks the wire protocol
 //! directly (length-prefixed JSON over a unix socket) rather than
@@ -283,6 +287,24 @@ fn drive_connection(
             .get("status")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("job {i}: untyped response: {resp:?}"))?;
+        if let Some(sup) = resp.get("supervision") {
+            let attempts = sup
+                .get("attempts")
+                .and_then(Value::as_arr)
+                .map_or(0, <[Value]>::len);
+            let retries = sup.get("retries").and_then(Value::as_num).unwrap_or(0.0) as usize;
+            let hit = sup.get("cache").and_then(Value::as_str) == Some("hit");
+            let counted = if hit {
+                attempts == 0 && retries == 0
+            } else {
+                attempts == retries + 1
+            };
+            if !counted {
+                return Err(format!(
+                    "job {i}: {retries} retries but {attempts} attempts (cache hit: {hit})"
+                ));
+            }
+        }
         match status {
             "ok" => {
                 stats.ok += 1;
@@ -594,6 +616,12 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
             "self-test failed: stalls were injected but no attempt was revoked at its deadline"
                 .into(),
         );
+    }
+    if report.daemon_retries > report.panics_injected {
+        return Err(format!(
+            "self-test failed: the daemon retried {} jobs but only {} were injected with a panic",
+            report.daemon_retries, report.panics_injected
+        ));
     }
     report.elapsed_s = started.elapsed().as_secs_f64();
     Ok(report)

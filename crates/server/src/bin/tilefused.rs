@@ -22,7 +22,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: tilefused [--socket PATH] [--workers N] [--queue-cap N]\n\
          \x20                [--quarantine-dir PATH] [--cache-cap N]\n\
-         \x20                [--default-deadline-ms N] [--max-attempts N]"
+         \x20                [--default-deadline-ms N]"
     );
     std::process::exit(2);
 }
@@ -50,9 +50,6 @@ fn parse_args() -> Args {
             "--default-deadline-ms" => {
                 config.default_deadline_ms =
                     parse_num::<u64>(&value("--default-deadline-ms"), "--default-deadline-ms");
-            }
-            "--max-attempts" => {
-                config.max_attempts = parse_num::<u32>(&value("--max-attempts"), "--max-attempts");
             }
             "--help" | "-h" => usage(),
             other => {

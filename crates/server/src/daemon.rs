@@ -16,7 +16,6 @@
 //! quarantine recycles itself (spawns a fresh replacement thread and
 //! exits), so panic-adjacent state never leaks into the next job.
 
-use crate::backoff::Backoff;
 use crate::error::ServerError;
 use crate::protocol::{
     error_response, read_frame, simple_ok, write_frame, OptimizeRequest, Request,
@@ -29,7 +28,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use tilefuse_fuzzgen::Rng;
 use tilefuse_trace::json::Value;
 
 /// Daemon configuration.
@@ -47,10 +45,6 @@ pub struct DaemonConfig {
     pub cache_capacity: usize,
     /// Deadline applied to requests that do not carry one, in ms.
     pub default_deadline_ms: u64,
-    /// Attempt ceiling per job.
-    pub max_attempts: u32,
-    /// Retry backoff schedule.
-    pub backoff: Backoff,
 }
 
 impl Default for DaemonConfig {
@@ -62,8 +56,6 @@ impl Default for DaemonConfig {
             quarantine_dir: PathBuf::from("/tmp/tilefused.quarantine"),
             cache_capacity: 128,
             default_deadline_ms: 10_000,
-            max_attempts: 3,
-            backoff: Backoff::default(),
         }
     }
 }
@@ -207,12 +199,7 @@ impl Daemon {
     /// Returns the I/O error when the socket cannot be bound or the
     /// quarantine directory cannot be opened.
     pub fn start(config: DaemonConfig) -> std::io::Result<Daemon> {
-        let supervisor = Supervisor::new(
-            &config.quarantine_dir,
-            config.cache_capacity,
-            config.max_attempts,
-            config.backoff,
-        )?;
+        let supervisor = Supervisor::new(&config.quarantine_dir, config.cache_capacity)?;
         if config.socket.exists() {
             std::fs::remove_file(&config.socket)?;
         }
@@ -310,12 +297,11 @@ fn spawn_worker(state: Arc<State>) {
     let id = state.next_worker.fetch_add(1, Ordering::Relaxed);
     std::thread::Builder::new()
         .name(format!("tilefused-worker-{id}"))
-        .spawn(move || worker_loop(&state, id))
+        .spawn(move || worker_loop(&state))
         .expect("spawn worker");
 }
 
-fn worker_loop(state: &Arc<State>, id: usize) {
-    let mut rng = Rng::new(0x9e37_79b9_7f4a_7c15 ^ id as u64);
+fn worker_loop(state: &Arc<State>) {
     while let Some(job) = state.queue.pop() {
         // Deadline propagation: a job that expired while queued is shed
         // at dequeue — running it would waste a worker on a reply the
@@ -335,7 +321,7 @@ fn worker_loop(state: &Arc<State>, id: usize) {
         }
         state.busy.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
-        let verdict = state.supervisor.run_job(&job.req, job.deadline, &mut rng);
+        let verdict = state.supervisor.run_job(&job.req, job.deadline);
         state.observe_service(t0.elapsed().as_secs_f64() * 1e3);
         state.busy.fetch_sub(1, Ordering::Relaxed);
         match verdict {
@@ -495,8 +481,6 @@ mod tests {
             supervisor: Supervisor::new(
                 &std::env::temp_dir().join(format!("tilefuse-ewma-{}", std::process::id())),
                 4,
-                1,
-                Backoff::default(),
             )
             .unwrap(),
             queue: JobQueue::new(4),

@@ -17,11 +17,12 @@
 //! * [`daemon`] — the accept loop, the bounded admission queue with
 //!   EWMA-predictive load shedding, and deadline propagation from
 //!   admission through dequeue to mid-attempt revocation.
-//! * [`supervisor`] — the per-attempt [`tilefuse_trace::CancelToken`]
-//!   that carries the job deadline (the worker observes it at its next
-//!   governor checkpoint, mid-phase), the retry-with-degradation policy
-//!   (tighter budget, forced lower ladder rung, exponential [`backoff`]),
-//!   and panic quarantine with worker recycling.
+//! * [`supervisor`] — one optimize attempt per job under a
+//!   [`tilefuse_trace::CancelToken`] that carries the job deadline (the
+//!   worker observes it at its next governor checkpoint, mid-phase); every
+//!   other budget trip is absorbed by `optimize`'s own ladder. A panicked
+//!   attempt gets one retry at the ladder's floor, and a second panic
+//!   means quarantine with worker recycling.
 //! * [`quarantine`] — crash artifacts on disk (shrinkable fuzz repro
 //!   format) plus the structural-hash fast-reject set.
 //! * [`cache`] — the plan cache keyed by [`hash::plan_key`]; schedules
@@ -34,7 +35,6 @@
 //! crashes, every request gets exactly one typed response, and
 //! quarantined inputs reproduce their crash deterministically offline.
 
-pub mod backoff;
 pub mod cache;
 pub mod daemon;
 pub mod error;
@@ -43,7 +43,6 @@ pub mod protocol;
 pub mod quarantine;
 pub mod supervisor;
 
-pub use backoff::Backoff;
 pub use cache::PlanCache;
 pub use daemon::{Daemon, DaemonConfig};
 pub use error::ServerError;

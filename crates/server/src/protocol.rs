@@ -15,7 +15,7 @@ use crate::error::ServerError;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use tilefuse_core::{DegradationReport, FaultInjection};
-use tilefuse_fuzzgen::ProgramSpec;
+use tilefuse_fuzzgen::{ProgramSpec, StageKind};
 use tilefuse_trace::json::{self, Value};
 use tilefuse_trace::Budget;
 
@@ -70,7 +70,7 @@ pub struct OptimizeRequest {
     pub id: u64,
     /// The pipeline to optimize.
     pub spec: ProgramSpec,
-    /// End-to-end deadline (queue wait + all attempts), in milliseconds.
+    /// End-to-end deadline (queue wait + every attempt), in milliseconds.
     pub deadline_ms: Option<u64>,
     /// Per-attempt resource budget for the optimizer.
     pub budget: Option<Budget>,
@@ -100,6 +100,64 @@ pub enum Request {
     },
 }
 
+/// Largest extent a job may ask for: the problem size
+/// (`size + param_delta`), the tile, a stage's access offset, and every
+/// buffer's rows and columns. A buffer then holds at most 512 KiB of
+/// `f64`s. `random_spec` draws problem sizes up to 16 and tiles up to 6.
+const MAX_EXTENT: i64 = 256;
+/// Most stages a job may have (`random_spec` draws at most 7).
+const MAX_STAGES: usize = 32;
+
+/// Rejects a spec the daemon cannot afford to build and execute. It runs
+/// before anything is allocated for the spec: a failed allocation aborts
+/// the process, and no `catch_unwind` can contain that.
+fn check_affordable(spec: &ProgramSpec) -> Result<(), ServerError> {
+    let reject = |what: String| Err(ServerError::Protocol(format!("unaffordable spec: {what}")));
+    if spec.stages.len() > MAX_STAGES {
+        return reject(format!(
+            "{} stages (at most {MAX_STAGES})",
+            spec.stages.len()
+        ));
+    }
+    let in_range = |lo: i64, x: i64| (lo..=MAX_EXTENT).contains(&x);
+    if !in_range(1, spec.size) || !in_range(0, spec.param_delta) || !in_range(1, spec.tile) {
+        return reject(format!(
+            "size {}, param_delta {}, tile {} (size and tile in 1..={MAX_EXTENT}, \
+             param_delta in 0..={MAX_EXTENT})",
+            spec.size, spec.param_delta, spec.tile
+        ));
+    }
+    for (i, st) in spec.stages.iter().enumerate() {
+        let offsets = match st.kind {
+            StageKind::StencilX(r) | StageKind::StencilY(r) => [r, 0],
+            StageKind::Shift { dh, dw } => [dh, dw],
+            _ => [0, 0],
+        };
+        if offsets.iter().any(|o| !in_range(-MAX_EXTENT, *o)) {
+            return reject(format!(
+                "stage {i} offset {offsets:?} (|offset| ≤ {MAX_EXTENT})"
+            ));
+        }
+    }
+    // With the stage count and offsets bounded, the extents cannot
+    // overflow. An ill-formed spec is left for `build_program` to report.
+    // The input image is the first extent, so this also bounds the
+    // problem size.
+    let Ok(exts) = tilefuse_fuzzgen::spec_extents(spec) else {
+        return Ok(());
+    };
+    let extent = spec.size + spec.param_delta;
+    for e in exts.iter().flat_map(|e| [e.h, e.w]) {
+        if extent + e.off.max(0) > MAX_EXTENT {
+            return reject(format!(
+                "a buffer of {} rows (at most {MAX_EXTENT})",
+                extent + e.off
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn get_u64(v: &Value, key: &str) -> Option<u64> {
     v.get(key).and_then(Value::as_num).map(|n| n as u64)
 }
@@ -127,6 +185,7 @@ pub fn parse_request(v: &Value) -> Result<Request, ServerError> {
                 .ok_or_else(|| ServerError::Protocol("optimize without 'spec'".into()))?;
             let spec = tilefuse_fuzzgen::spec_from_value(spec_v)
                 .map_err(|e| ServerError::Protocol(format!("bad spec: {e}")))?;
+            check_affordable(&spec)?;
             let budget = match v.get("budget") {
                 None | Some(Value::Null) => None,
                 Some(b) => Some(Budget {
@@ -220,10 +279,9 @@ pub enum AttemptOutcome {
 pub struct AttemptRecord {
     /// Attempt ordinal (0 = first).
     pub attempt: u32,
-    /// The ladder rung this attempt was forced to enter at (1 = full).
+    /// The ladder rung this attempt entered at: 1 (the full pipeline), or
+    /// 4 (the untiled floor) for the retry after a panic.
     pub min_rung: u8,
-    /// Backoff slept *before* this attempt, in milliseconds.
-    pub backoff_ms: u64,
     /// Wall-clock the attempt took, in milliseconds.
     pub elapsed_ms: f64,
     /// How it ended.
@@ -291,7 +349,6 @@ impl SupervisionReport {
                 let mut o = BTreeMap::new();
                 o.insert("attempt".into(), Value::Num(f64::from(a.attempt)));
                 o.insert("min_rung".into(), Value::Num(f64::from(a.min_rung)));
-                o.insert("backoff_ms".into(), Value::Num(a.backoff_ms as f64));
                 o.insert("elapsed_ms".into(), Value::Num(a.elapsed_ms));
                 let (outcome, fields): (&str, Vec<(&str, &str)>) = match &a.outcome {
                     AttemptOutcome::Ok { rung } => {
@@ -363,7 +420,6 @@ impl SupervisionReport {
             attempts.push(AttemptRecord {
                 attempt: a.get("attempt").and_then(Value::as_num).unwrap_or(0.0) as u32,
                 min_rung: a.get("min_rung").and_then(Value::as_num).unwrap_or(1.0) as u8,
-                backoff_ms: a.get("backoff_ms").and_then(Value::as_num).unwrap_or(0.0) as u64,
                 elapsed_ms: a.get("elapsed_ms").and_then(Value::as_num).unwrap_or(0.0),
                 outcome,
             });
@@ -675,25 +731,59 @@ mod tests {
     }
 
     #[test]
+    fn affordability_admits_every_generated_spec_and_bounds_every_buffer() {
+        let parse = |spec: &ProgramSpec| {
+            let text = format!(
+                r#"{{"op":"optimize","id":5,"spec":{}}}"#,
+                tilefuse_fuzzgen::spec_to_json(spec)
+            );
+            parse_request(&json::parse(&text).unwrap())
+        };
+        for seed in 0..500 {
+            let spec = tilefuse_fuzzgen::random_spec(&mut tilefuse_fuzzgen::Rng::new(seed));
+            assert!(parse(&spec).is_ok(), "seed {seed}: {spec:?}");
+        }
+        let mut spec = tilefuse_fuzzgen::random_spec(&mut tilefuse_fuzzgen::Rng::new(1));
+        (spec.size, spec.param_delta) = (MAX_EXTENT, 0);
+        assert!(parse(&spec).is_ok());
+        spec.param_delta = 1;
+        assert!(matches!(parse(&spec), Err(ServerError::Protocol(_))));
+        spec.param_delta = 0;
+        // Each shift by -1 grows the buffers by one row: the bound is on
+        // what is allocated, not only on `size`.
+        spec.stages = vec![
+            tilefuse_fuzzgen::StageSpec {
+                kind: StageKind::Shift { dh: -1, dw: 0 },
+                src: 0,
+                liveout: true,
+            };
+            1
+        ];
+        assert!(matches!(parse(&spec), Err(ServerError::Protocol(_))));
+        spec.size = 8;
+        assert!(parse(&spec).is_ok());
+        spec.param_delta = -1;
+        assert!(matches!(parse(&spec), Err(ServerError::Protocol(_))));
+    }
+
+    #[test]
     fn supervision_report_round_trips() {
         let report = SupervisionReport {
             attempts: vec![
                 AttemptRecord {
                     attempt: 0,
                     min_rung: 1,
-                    backoff_ms: 0,
                     elapsed_ms: 12.5,
-                    outcome: AttemptOutcome::Exhausted {
-                        limit: "cancelled".into(),
+                    outcome: AttemptOutcome::Panicked {
                         phase: "algo1/extension".into(),
+                        message: "index out of bounds".into(),
                     },
                 },
                 AttemptRecord {
                     attempt: 1,
-                    min_rung: 3,
-                    backoff_ms: 10,
+                    min_rung: 4,
                     elapsed_ms: 3.25,
-                    outcome: AttemptOutcome::Ok { rung: 3 },
+                    outcome: AttemptOutcome::Ok { rung: 4 },
                 },
             ],
             retries: 1,

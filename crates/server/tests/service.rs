@@ -7,7 +7,7 @@
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use tilefuse_server::{read_frame, write_frame, Backoff, Daemon, DaemonConfig};
+use tilefuse_server::{read_frame, write_frame, Daemon, DaemonConfig};
 use tilefuse_trace::json::{self, Value};
 
 struct TestDaemon {
@@ -30,12 +30,6 @@ impl TestDaemon {
             quarantine_dir: dir.join("quarantine"),
             cache_capacity: 64,
             default_deadline_ms: 30_000,
-            max_attempts: 3,
-            backoff: Backoff {
-                base_ms: 1,
-                cap_ms: 8,
-                jitter_frac: 0.0,
-            },
         };
         let daemon = Daemon::start(config).unwrap();
         TestDaemon {
@@ -271,15 +265,9 @@ fn deadline_cancels_a_stalled_job_mid_attempt() {
         t0.elapsed() < Duration::from_secs(5),
         "not held by the stall"
     );
-    let status = r.get("status").unwrap().as_str().unwrap();
-    assert!(status == "ok" || status == "error", "typed response: {r:?}");
-    let attempts = r
-        .get("supervision")
-        .unwrap()
-        .get("attempts")
-        .unwrap()
-        .as_arr()
-        .unwrap();
+    assert_eq!(r.get("status").unwrap().as_str(), Some("error"), "{r:?}");
+    let supervision = r.get("supervision").unwrap();
+    let attempts = supervision.get("attempts").unwrap().as_arr().unwrap();
     assert_eq!(
         attempts[0].get("outcome").unwrap().as_str(),
         Some("exhausted")
@@ -288,6 +276,33 @@ fn deadline_cancels_a_stalled_job_mid_attempt() {
         attempts[0].get("limit").unwrap().as_str(),
         Some("cancelled")
     );
+    // The deadline has passed, so no second attempt runs, and none may
+    // be counted.
+    let retries = supervision.get("retries").unwrap().as_num().unwrap();
+    assert_eq!(retries as usize + 1, attempts.len(), "{supervision:?}");
+    d.shutdown();
+}
+
+/// A spec whose buffers the daemon cannot afford is refused at parse
+/// time with a typed error, before anything is allocated for it.
+#[test]
+fn unaffordable_specs_get_a_typed_error_and_the_daemon_lives_on() {
+    let d = TestDaemon::start("affordable", 1, 16);
+    let mut s = d.connect();
+    let huge = spec_json(1_000_000);
+    let no_tile = spec_json(8).replace(r#""tile":4"#, r#""tile":0"#);
+    for (id, spec) in [(70, huge), (71, no_tile)] {
+        let r = d.request(
+            &mut s,
+            &format!(r#"{{"op":"optimize","id":{id},"spec":{spec}}}"#),
+        );
+        assert_eq!(r.get("status").unwrap().as_str(), Some("error"), "{r:?}");
+        assert_eq!(r.get("id").unwrap().as_num(), Some(f64::from(id)));
+        let detail = r.get("detail").unwrap().as_str().unwrap();
+        assert!(detail.contains("unaffordable spec"), "{detail}");
+    }
+    let pong = d.request(&mut s, r#"{"op":"ping","id":72}"#);
+    assert_eq!(pong.get("status").unwrap().as_str(), Some("ok"));
     d.shutdown();
 }
 

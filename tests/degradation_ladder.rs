@@ -16,7 +16,7 @@ use tilefuse::core::{optimize, FaultInjection, Options};
 use tilefuse::fuzzgen::{build_program, random_budget, random_spec, Rng};
 use tilefuse::schedtree::render;
 use tilefuse::server::supervisor::options_for;
-use tilefuse::trace::Budget;
+use tilefuse::trace::{governor, Budget, CancelToken};
 use tilefuse::workloads::{polymage, Workload};
 
 /// Execution-time parameter overrides: small, and different from the
@@ -134,6 +134,39 @@ fn expired_deadline_degrades_without_hanging() {
             deg.rung
         );
     }
+}
+
+/// Only `cancelled` leaves `optimize` as a budget error. A worker stall
+/// cut short by the budget deadline falls down the ladder like any other
+/// trip; the same call under a job deadline that has already passed stops
+/// the whole run.
+#[test]
+fn only_a_passed_job_deadline_leaves_optimize_as_a_budget_error() {
+    let w = polymage::harris(128, 128).unwrap();
+    let stalled = Options {
+        fault: FaultInjection::WorkerStall { ms: 10_000 },
+        ..opts_for(
+            &w,
+            Budget {
+                deadline_ms: Some(5),
+                ..Budget::default()
+            },
+        )
+    };
+    let t0 = std::time::Instant::now();
+    let o = optimize(&w.program, &stalled).expect("a budget trip degrades");
+    assert!(t0.elapsed().as_secs() < 5, "held by the stall");
+    let deg = &o.report.degradation;
+    assert!(deg.rung >= 3, "the stall must drop fusion: {deg:?}");
+    assert_eq!(deg.trips[0].phase, "fault/stall", "{deg:?}");
+
+    let expired = Options {
+        cancel: Some(CancelToken::with_deadline(std::time::Instant::now())),
+        ..stalled
+    };
+    let e = optimize(&w.program, &expired).expect_err("a passed job deadline stops the run");
+    let trip = e.budget().expect("a budget error");
+    assert_eq!(trip.limit, governor::CANCELLED, "{e}");
 }
 
 /// Budgets stop work, they never change answers: whenever a governed run

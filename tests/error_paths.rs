@@ -175,7 +175,7 @@ fn degradation_report_round_trips_through_wire_json() {
     use tilefuse::trace::json;
 
     let report = DegradationReport {
-        rung: 3,
+        rung: 4,
         trips: vec![
             BudgetTrip {
                 phase: "algo1/extension",
@@ -185,7 +185,9 @@ fn degradation_report_round_trips_through_wire_json() {
             BudgetTrip {
                 phase: "optimize/ladder",
                 limit: "forced",
-                detail: "supervisor forced entry at rung 3: skipped tiling-then-fusion".into(),
+                detail: "supervisor forced entry at rung 4: skipped tiling-then-fusion \
+                         and plain live-out tiling"
+                    .into(),
             },
         ],
         silent_feasible: 7,
@@ -218,7 +220,6 @@ fn supervision_report_round_trips_through_wire_json() {
             AttemptRecord {
                 attempt: 0,
                 min_rung: 1,
-                backoff_ms: 0,
                 elapsed_ms: 40.5,
                 outcome: AttemptOutcome::Panicked {
                     phase: "optimize/ladder".into(),
@@ -227,23 +228,15 @@ fn supervision_report_round_trips_through_wire_json() {
             },
             AttemptRecord {
                 attempt: 1,
-                min_rung: 3,
-                backoff_ms: 10,
+                min_rung: 4,
                 elapsed_ms: 2.0,
                 outcome: AttemptOutcome::Exhausted {
                     limit: "cancelled".into(),
-                    phase: "fault/stall".into(),
+                    phase: "schedule/deps".into(),
                 },
             },
-            AttemptRecord {
-                attempt: 2,
-                min_rung: 4,
-                backoff_ms: 20,
-                elapsed_ms: 1.5,
-                outcome: AttemptOutcome::Ok { rung: 4 },
-            },
         ],
-        retries: 2,
+        retries: 1,
         quarantined: false,
         cache: CacheOutcome::Bypass,
         elapsed_ms: 75.0,
@@ -256,7 +249,6 @@ fn supervision_report_round_trips_through_wire_json() {
         attempts: vec![AttemptRecord {
             attempt: 0,
             min_rung: 1,
-            backoff_ms: 0,
             elapsed_ms: 0.5,
             outcome: AttemptOutcome::Failed {
                 error: "invalid optimizer input: spec has no stages".into(),
